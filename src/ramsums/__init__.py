@@ -34,7 +34,6 @@ from .csums import (
     fixed_k_partial,
     harmonic_partial,
     jordan_like_local_form,
-    mobius_pair_identity,
     mobius_pair_profile,
     ramanujan_sum,
     residue_series,

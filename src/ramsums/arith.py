@@ -34,6 +34,15 @@ class ArithFn:
         return self.fn(e)
 
 
+# (unit, zero) of each value ring
+_UNIT_ZERO = {
+    INT: (1, 0),
+    RATIONAL: (Fraction(1), Fraction(0)),
+    FLOAT: (1.0, 0.0),
+    COMPLEX: (1 + 0j, 0j),
+}
+
+
 def _check_ring(*fns: ArithFn) -> str:
     rings = {f.ring for f in fns}
     if len(rings) != 1:
@@ -56,13 +65,12 @@ def mobius_fn() -> ArithFn:
 
 
 def one(ring: str = INT) -> ArithFn:
-    unit = {INT: 1, RATIONAL: Fraction(1), FLOAT: 1.0, COMPLEX: 1 + 0j}[ring]
+    unit = _UNIT_ZERO[ring][0]
     return ArithFn(lambda e: unit, ring, "1")
 
 
 def delta(ring: str = INT) -> ArithFn:
-    unit = {INT: 1, RATIONAL: Fraction(1), FLOAT: 1.0, COMPLEX: 1 + 0j}[ring]
-    zero = {INT: 0, RATIONAL: Fraction(0), FLOAT: 0.0, COMPLEX: 0j}[ring]
+    unit, zero = _UNIT_ZERO[ring]
     return ArithFn(lambda e: unit if e.is_zero else zero, ring, "delta")
 
 
@@ -126,7 +134,7 @@ def dirichlet_inverse(inst: MonoidInstance, f: ArithFn, root: Element) -> Downse
     else:
         if f0 == 0:
             raise ValueError("f(0) = 0 is not invertible")
-        inv0 = (Fraction(1) if f.ring == RATIONAL else 1.0 if f.ring == FLOAT else 1 + 0j) / f0
+        inv0 = _UNIT_ZERO[f.ring][0] / f0
     values = {ZERO: inv0}
     for a in inst.divisors(root)[1:]:
         acc = None

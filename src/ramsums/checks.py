@@ -12,8 +12,9 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-from .arith import INT, ArithFn, mobius
+from .arith import INT, ArithFn, mobius_fn, norm_fn
 from .csums import (
+    common_divisor_sum,
     divisibility_identity,
     divisor_sum_identity,
     first_argument_convolution,
@@ -32,13 +33,6 @@ def _pmap(fn, items, workers: int):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
-
-
-def csum_by_definition(inst: MonoidInstance, k: Element, m: Element) -> int:
-    """Definitional divisor sum over all D below gcd(M, K); the slow
-    reference the fast evaluator is checked against."""
-    g = k.gcd(m)
-    return sum(inst.norm(d) * mobius(k.sub(d)) for d in inst.divisors(g))
 
 
 def suite_th1(inst: MonoidInstance, bound: int, workers: int = 1) -> dict:
@@ -134,11 +128,12 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, workers: int = 1) 
     sample of full (K, M) pairs guards the gcd reduction itself.
     """
     elems = list(inst.enumerate_up_to(bound))
+    norm, mu = norm_fn(inst), mobius_fn()
 
     def check_k(k):
         bad = []
         for g in inst.divisors(k):
-            brute = csum_by_definition(inst, k, g)
+            brute = common_divisor_sum(inst, norm, mu, g, k)
             fast = ramanujan_sum(inst, k, g)
             if fast != brute:
                 bad.append(f"definition k={k.exps} m={g.exps}")
@@ -154,7 +149,7 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, workers: int = 1) 
     for _ in range(sample):
         k = elems[rng.randrange(len(elems))]
         m = elems[rng.randrange(len(elems))]
-        if ramanujan_sum(inst, k, m) != csum_by_definition(inst, k, m):
+        if ramanujan_sum(inst, k, m) != common_divisor_sum(inst, norm, mu, m, k):
             failures.append(f"definition k={k.exps} m={m.exps}")
     checked += sample
     return {

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass
 
 from . import checks, csums, fields
 from .monoid import ZERO, Element, MonoidInstance
@@ -24,17 +24,6 @@ MAX_Y = 10**3
 
 class CLIError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    instance: str = "z"
-    x: float = 1000
-    y: float = 100
-    seed: int = 0
-    workers: int = 1
-    out_format: str = "csv"
-    out_path: str | None = None
 
 
 # -- element specs ----------------------------------------------------
@@ -130,29 +119,31 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def emit_rows(header: list[str], rows: list[tuple], cfg: RunConfig) -> None:
-    if cfg.out_format == "json":
+def emit_rows(header: list[str], rows: list[tuple], args: argparse.Namespace) -> None:
+    if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", cfg.out_path)
+        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
         lines = [",".join(header)]
         lines += [",".join(_cell(v) for v in row) for row in rows]
-        _write("\n".join(lines) + "\n", cfg.out_path)
+        _write("\n".join(lines) + "\n", args.out)
 
 
-def emit_json(obj, cfg: RunConfig) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", cfg.out_path)
+def emit_json(obj, args: argparse.Namespace) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
 
 
-def _check_caps(args) -> None:
-    if getattr(args, "allow_large", False):
-        return
-    x = getattr(args, "x", None)
-    y = getattr(args, "y", None)
-    if x is not None and x > MAX_X:
-        raise CLIError(f"x={x} exceeds the cap {MAX_X}; pass --allow-large to override")
-    if y is not None and y > MAX_Y:
-        raise CLIError(f"y={y} exceeds the cap {MAX_Y}; pass --allow-large to override")
+def _check_bounds(args: argparse.Namespace) -> None:
+    """x and y must be finite and >= 1, and within the caps unless
+    --allow-large is given.  Subcommands that read x or y alone declare them."""
+    for name, cap in (("x", MAX_X), ("y", MAX_Y)):
+        v = getattr(args, name, None)
+        if v is None:
+            continue
+        if not math.isfinite(v) or v < 1:
+            raise CLIError(f"{name}={v} must be a finite number >= 1")
+        if v > cap and not args.allow_large:
+            raise CLIError(f"{name}={v} exceeds the cap {cap}; pass --allow-large to override")
 
 
 def _scan_points(limit) -> list:
@@ -167,21 +158,21 @@ def _scan_points(limit) -> list:
 # -- subcommands ------------------------------------------------------
 
 
-def cmd_atoms(inst, args, cfg) -> int:
+def cmd_atoms(inst, args) -> int:
     inst.extend(args.x)
     rows = [(a.id, a.label, a.norm) for a in inst.atoms if a.norm <= args.x]
-    emit_rows(["id", "label", "norm"], rows, cfg)
+    emit_rows(["id", "label", "norm"], rows, args)
     return 0
 
 
-def cmd_csum(inst, args, cfg) -> int:
+def cmd_csum(inst, args) -> int:
     k = parse_element(inst, args.k)
     m = parse_element(inst, args.m)
-    _write(str(csums.ramanujan_sum(inst, k, m)) + "\n", cfg.out_path)
+    _write(str(csums.ramanujan_sum(inst, k, m)) + "\n", args.out)
     return 0
 
 
-def cmd_table(inst, args, cfg) -> int:
+def cmd_table(inst, args) -> int:
     ks = list(inst.enumerate_up_to(args.y))
     ms = list(inst.enumerate_up_to(args.x))
     rows = [
@@ -189,31 +180,31 @@ def cmd_table(inst, args, cfg) -> int:
         for k in ks
         for m in ms
     ]
-    emit_rows(["k", "m", "csum"], rows, cfg)
+    emit_rows(["k", "m", "csum"], rows, args)
     return 0
 
 
-def cmd_check(inst, args, cfg) -> int:
+def cmd_check(inst, args) -> int:
     report = checks.run_suite(
-        inst, args.suite, bound=args.bound, trials=args.trials, seed=cfg.seed, workers=cfg.workers
+        inst, args.suite, bound=args.bound, trials=args.trials, seed=args.seed, workers=args.workers
     )
-    emit_json(report, cfg)
+    emit_json(report, args)
     if report.get("failures_total", len(report.get("failures", []))):
         return 1
     return 0
 
 
-def cmd_count(inst, args, cfg) -> int:
+def cmd_count(inst, args) -> int:
     points = _scan_points(args.x) if args.scan else [args.x]
     rows = []
     for x in points:
         n = inst.count_up_to(x)
         rows.append((x, n, n / float(x)))
-    emit_rows(["x", "count", "count_over_x"], rows, cfg)
+    emit_rows(["x", "count", "count_over_x"], rows, args)
     return 0
 
 
-def cmd_residue(inst, args, cfg) -> int:
+def cmd_residue(inst, args) -> int:
     k = parse_element(inst, args.k)
     if k.is_zero:
         raise CLIError("k must be a nonzero element")
@@ -225,11 +216,11 @@ def cmd_residue(inst, args, cfg) -> int:
         est = csums.residue_series(inst, k, x, mode=mode)
         err = abs(est - target) if target is not None else None
         rows.append((x, est, target, err))
-    emit_rows(["x", "estimate", "target", "abs_err"], rows, cfg)
+    emit_rows(["x", "estimate", "target", "abs_err"], rows, args)
     return 0
 
 
-def cmd_sxy(inst, args, cfg) -> int:
+def cmd_sxy(inst, args) -> int:
     if args.scan:
         grid = [(x, y) for x in _scan_points(args.x) for y in (2, 5, 10, 20, 50) if y <= args.y]
     else:
@@ -238,11 +229,11 @@ def cmd_sxy(inst, args, cfg) -> int:
     for x, y in grid:
         rep = csums.double_sum(inst, x, y)
         rows.append((x, y, rep.value, rep.residual, rep.bound_ref))
-    emit_rows(["x", "y", "s", "s_minus_cx", "bound_ref"], rows, cfg)
+    emit_rows(["x", "y", "s", "s_minus_cx", "bound_ref"], rows, args)
     return 0
 
 
-def cmd_invariants(inst, args, cfg) -> int:
+def cmd_invariants(inst, args) -> int:
     inv = inst.invariants
     if inv is None or inst.descriptor is None:
         raise CLIError(f"{inst.name} carries no field invariants; use a q:<d> instance")
@@ -269,7 +260,7 @@ def cmd_invariants(inst, args, cfg) -> int:
         "h_rounded": h_rounded,
         "residue_constant": c_f,
     }
-    emit_json(payload, cfg)
+    emit_json(payload, args)
     return 0
 
 
@@ -289,29 +280,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, x_default=1000):
+    def command(name, help, x_default=None, rows=False):
+        """A subcommand with the options every one reads, plus --x and
+        --allow-large when it reads x, and --format when it emits rows."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--instance", default="z", help="'z' or 'q:<d>' (default z)")
-        p.add_argument("--x", type=_num, default=x_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--allow-large", action="store_true", help="lift the x/y caps")
+        if x_default is not None:
+            p.add_argument("--x", type=_num, default=x_default)
+            p.add_argument("--allow-large", action="store_true", help="lift the x/y caps")
+        if rows:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
 
-    p = sub.add_parser("atoms", help="list materialized atoms up to --x")
-    common(p, x_default=100)
+    command("atoms", "list materialized atoms up to --x", x_default=100, rows=True)
 
-    p = sub.add_parser("csum", help="print the exact Ramanujan-type sum")
-    common(p)
+    p = command("csum", "print the exact Ramanujan-type sum")
     p.add_argument("--k", required=True)
     p.add_argument("--m", required=True)
 
-    p = sub.add_parser("table", help="csum grid over norms <= --y by <= --x")
-    common(p, x_default=30)
+    p = command("table", "csum grid over norms <= --y by <= --x", x_default=30, rows=True)
     p.add_argument("--y", type=_num, default=30)
 
-    p = sub.add_parser("check", help="run an identity or oracle suite")
-    common(p)
+    p = command("check", "run an identity or oracle suite")
     p.add_argument(
         "--suite", default="all", choices=checks.SUITES + ("all",),
         help="th1: divisor-sum identity, th2: divisibility identity, "
@@ -320,26 +311,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bound", type=int, default=200)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("count", help="norm-bounded element counts")
-    common(p)
+    p = command("count", "norm-bounded element counts", x_default=1000, rows=True)
     p.add_argument("--scan", action="store_true", help="emit decade scan up to --x")
 
-    p = sub.add_parser("residue", help="norm-ordered series estimating -c*Lambda(k)")
-    common(p, x_default=10**6)
+    p = command(
+        "residue", "norm-ordered series estimating -c*Lambda(k)", x_default=10**6, rows=True
+    )
     p.add_argument("--k", required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--grouped", action="store_true", default=True)
     group.add_argument("--direct", action="store_true", default=False)
     p.add_argument("--scan", action="store_true")
 
-    p = sub.add_parser("sxy", help="exact double sum S(x, y) and its residual")
-    common(p, x_default=10**4)
+    p = command("sxy", "exact double sum S(x, y) and its residual", x_default=10**4, rows=True)
     p.add_argument("--y", type=_num, default=50)
     p.add_argument("--scan", action="store_true", help="decades of x times y in {2,5,10,20,50}")
 
-    p = sub.add_parser("invariants", help="field invariants, residue constant, class number")
-    common(p, x_default=10**6)
+    command("invariants", "field invariants, residue constant, class number", x_default=10**6)
 
     return parser
 
@@ -360,22 +351,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_caps(args)
+        _check_bounds(args)
         inst = make_instance(args.instance)
-        cfg = RunConfig(
-            instance=args.instance,
-            x=getattr(args, "x", 1000),
-            y=getattr(args, "y", 100),
-            seed=getattr(args, "seed", 0),
-            workers=getattr(args, "workers", 1),
-            out_format=args.format,
-            out_path=args.out,
-        )
-        return COMMANDS[args.command](inst, args, cfg)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return COMMANDS[args.command](inst, args)
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

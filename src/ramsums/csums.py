@@ -298,11 +298,6 @@ def mobius_pair_profile(inst: MonoidInstance, ymax) -> list[int]:
     return out
 
 
-def mobius_pair_identity(inst: MonoidInstance, y) -> int:
-    """Sum of mu(A) over pairs (D, A) with norm(D + A) <= y."""
-    return mobius_pair_profile(inst, y)[_floor(y)]
-
-
 def density_fit(samples) -> tuple[float, float | None]:
     """Fit count_up_to(x) ~ c * x + O(x**alpha) from (x, count) samples.
 

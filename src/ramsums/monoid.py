@@ -89,13 +89,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.exps
 
-    def degree(self) -> int:
-        """Total exponent sum (number of atoms with multiplicity)."""
-        return sum(e for _, e in self.exps)
-
-    def support(self) -> tuple:
-        return tuple(aid for aid, _ in self.exps)
-
     def exponent(self, aid: int) -> int:
         for a, e in self.exps:
             if a == aid:

@@ -1,5 +1,9 @@
+import argparse
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,19 @@ def test_caps(capsys):
     assert code == 2 and "cap" in err
     code, _, _ = run(capsys, "sxy", "--instance", "z", "--x", "100", "--y", "5000")
     assert code == 2
+    for argv in (
+        ["count", "--x", "inf", "--allow-large"],
+        ["table", "--x", "1e400", "--allow-large"],
+        ["count", "--x", "-5"],
+        ["count", "--x", "nan"],
+        ["sxy", "--x", "100", "--y", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:  # count reads no seed
+        cli.main(["count", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_repeat_runs_are_byte_identical(capsys):
@@ -240,3 +257,41 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert path.read_text().splitlines()[-1] == "100,100,1"
+
+
+# -- README and parser agree ----------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, action.choices
+
+
+def test_readme_cli_lines_parse():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    parser, subs = _subcommands()
+    seen = set()
+    for line in block.splitlines():
+        if line.startswith("ramsums "):
+            args = parser.parse_args(shlex.split(line.split("#")[0])[1:])
+            cli._check_bounds(args)
+            seen.add(args.command)
+    assert seen == set(subs)
+
+
+def test_readme_option_table_matches_parser():
+    table = {}
+    for row in README.read_text(encoding="utf-8").splitlines():
+        m = re.match(r"\| `(\w+)` +\|(.*?)\|", row)
+        if m:
+            table[m.group(1)] = set(re.findall(r"--[a-z-]+", m.group(2)))
+    _, subs = _subcommands()
+    declared = {
+        name: {a.option_strings[-1] for a in p._actions if a.option_strings}
+        - {"--help", "--instance", "--out"}
+        for name, p in subs.items()
+    }
+    assert table == declared

@@ -24,7 +24,6 @@ from ramsums import (
     jordan_like_local_form,
     mobius,
     mobius_fn,
-    mobius_pair_identity,
     mobius_pair_profile,
     norm_fn,
     one,
@@ -404,7 +403,7 @@ def test_double_sum_skips_direct_when_large(zint):
 def test_mobius_pair_identity(zint, qi):
     profile = mobius_pair_profile(zint, 200)
     assert all(v == 1 for v in profile[1:])
-    assert mobius_pair_identity(qi, 100) == 1
+    assert mobius_pair_profile(qi, 100)[100] == 1
 
 
 def test_density_fit(zint):
