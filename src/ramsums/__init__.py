@@ -1,6 +1,14 @@
 """Exact Ramanujan-type sums over free abelian monoids with multiplicative
 norms, with built-in rational-integer and quadratic-field instances."""
 
+import os
+
+# Nothing here needs threaded BLAS (one small least-squares fit), but when
+# numpy loads, OpenBLAS starts a worker for each further core, which spins
+# for about 0.1 s before it sleeps and competes with the main thread.  Load
+# it with one thread unless the caller has chosen a count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arith import (
     COMPLEX,
     FLOAT,
@@ -57,6 +65,6 @@ from .fields import (
     residue_constant,
     split_prime,
 )
-from .monoid import ZERO, Atom, DensityMeta, Element, MonoidInstance
+from .monoid import ZERO, Atom, DensityMeta, Element, LabelCodec, MonoidInstance
 
 __version__ = "0.1.0"

@@ -81,7 +81,7 @@ def norm_fn(inst: MonoidInstance) -> ArithFn:
 def von_mangoldt(inst: MonoidInstance, e: Element) -> float:
     """log(atom norm) on single-atom elements (prime powers), else 0."""
     if len(e.exps) == 1:
-        return math.log(inst.atom(e.exps[0][0]).norm)
+        return math.log(inst.norms[e.exps[0][0]])
     return 0.0
 
 

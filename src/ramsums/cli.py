@@ -32,15 +32,12 @@ _LABEL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*?)(?:\^(\d+))?$")
 
 
 def _resolve_label(inst: MonoidInstance, label: str):
-    atom = inst.atom_by_label(label)
-    if atom is not None:
-        return atom
-    m = re.match(r"^p(\d+)", label)
-    if m:
-        p = int(m.group(1))
-        inst.extend(p if inst.parses_integers or p > 10**4 else p * p)
-        atom = inst.atom_by_label(label)
-    return atom
+    """The atom named by ``label``, extending the table to its norm."""
+    key = inst.parse_label(label)
+    if key is None:
+        return None
+    inst.extend(key[0])
+    return inst.atom_by_label(label)
 
 
 def parse_element(inst: MonoidInstance, text: str) -> Element:
@@ -135,7 +132,8 @@ def emit_json(obj, args: argparse.Namespace) -> None:
 
 def _check_bounds(args: argparse.Namespace) -> None:
     """x and y must be finite and >= 1, and within the caps unless
-    --allow-large is given.  Subcommands that read x or y alone declare them."""
+    --allow-large is given; check's --bound and --trials must be >= 0.
+    Subcommands that read these options alone declare them."""
     for name, cap in (("x", MAX_X), ("y", MAX_Y)):
         v = getattr(args, name, None)
         if v is None:
@@ -144,6 +142,10 @@ def _check_bounds(args: argparse.Namespace) -> None:
             raise CLIError(f"{name}={v} must be a finite number >= 1")
         if v > cap and not args.allow_large:
             raise CLIError(f"{name}={v} exceeds the cap {cap}; pass --allow-large to override")
+    for name in ("bound", "trials"):
+        v = getattr(args, name, None)
+        if v is not None and v < 0:
+            raise CLIError(f"{name}={v} must be >= 0")
 
 
 def _scan_points(limit) -> list:
@@ -196,6 +198,7 @@ def cmd_check(inst, args) -> int:
 
 def cmd_count(inst, args) -> int:
     points = _scan_points(args.x) if args.scan else [args.x]
+    inst.norm_counts(args.x)  # one table for every point
     rows = []
     for x in points:
         n = inst.count_up_to(x)
@@ -211,6 +214,11 @@ def cmd_residue(inst, args) -> int:
     mode = "direct" if args.direct else "grouped"
     target = csums.residue_target(inst, k)
     points = _scan_points(args.x) if args.scan else [args.x]
+    if mode == "grouped":
+        # one table for every point: the series reads H(x / norm(D)) for
+        # K - D squarefree, and the smallest such D is K less one of each atom
+        rad = Element(tuple((aid, 1) for aid, _ in k.exps))
+        inst.harmonic_up_to(math.floor(args.x) // inst.norm(k.sub(rad)))
     rows = []
     for x in points:
         est = csums.residue_series(inst, k, x, mode=mode)
@@ -225,6 +233,9 @@ def cmd_sxy(inst, args) -> int:
         grid = [(x, y) for x in _scan_points(args.x) for y in (2, 5, 10, 20, 50) if y <= args.y]
     else:
         grid = [(args.x, args.y)]
+    # one table for every grid point
+    inst.norm_counts(max(args.x, args.y))
+    inst.mertens_up_to(args.y)
     rows = []
     for x, y in grid:
         rep = csums.double_sum(inst, x, y)

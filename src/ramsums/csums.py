@@ -54,9 +54,10 @@ def ramanujan_sum(inst: MonoidInstance, k: Element, m: Element) -> int:
     Factors over the atoms of K: only divisors D with K - D squarefree
     contribute, leaving at most two exponent choices per atom.
     """
+    norms = inst.norms
     total = 1
     for aid, ke in k.exps:
-        q = inst.atom(aid).norm
+        q = norms[aid]
         g = min(ke, m.exponent(aid))
         if g == ke:
             factor = q**ke - q ** (ke - 1)
@@ -97,7 +98,7 @@ def divisor_sum_identity(inst: MonoidInstance, k: Element) -> IdentityReport:
     lhs = sum(ramanujan_sum(inst, k, d) for d in inst.divisors(k))
     rhs = Fraction(inst.norm(k))
     for aid, _ in k.exps:
-        rhs *= 1 - Fraction(2, inst.atom(aid).norm)
+        rhs *= 1 - Fraction(2, inst.norms[aid])
     return IdentityReport(lhs, rhs, Fraction(lhs) == rhs, context=f"k={k.exps}")
 
 

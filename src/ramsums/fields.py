@@ -15,13 +15,14 @@ unit, and the round trip that recovers the class number from ideal counts.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
-from .monoid import ZERO, DensityMeta, Element, MonoidInstance
+from .monoid import ZERO, DensityMeta, Element, LabelCodec, MonoidInstance
 
 
 class InconclusiveEstimateError(ValueError):
@@ -68,25 +69,45 @@ class SplittingRecord:
 
 def sieve_primes(n: int) -> list[int]:
     """Primes <= n, ascending."""
+    return _prime_array(n).tolist()
+
+
+def _prime_array(n: int) -> np.ndarray:
+    """Primes <= n, ascending, as an int64 array."""
     if n < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.flatnonzero(mask).tolist()
+    return np.flatnonzero(mask)
+
+
+def _prime_label(norm: int, tag: int) -> str:
+    return f"p{norm}"
+
+
+def _parse_prime_label(label: str) -> tuple[int, int] | None:
+    m = re.fullmatch(r"p(\d+)", label)
+    return (int(m.group(1)), 0) if m else None
 
 
 def rational_integers() -> MonoidInstance:
     """The positive integers under multiplication; atoms are the primes."""
 
     def source(lo, hi):
-        for p in sieve_primes(hi):
-            if p > lo:
-                yield (p, f"p{p}")
+        primes = _prime_array(hi)
+        primes = primes[primes > lo]
+        return primes, np.zeros(len(primes), dtype=np.int8)
 
-    return MonoidInstance("Z", source, DensityMeta(c=1.0, alpha=0.0), parse_int=True)
+    return MonoidInstance(
+        "Z",
+        source,
+        LabelCodec(_prime_label, _parse_prime_label),
+        DensityMeta(c=1.0, alpha=0.0),
+        parse_int=True,
+    )
 
 
 def factor_integer(inst: MonoidInstance, n: int) -> Element:
@@ -101,12 +122,11 @@ def factor_integer(inst: MonoidInstance, n: int) -> Element:
     inst.extend(isqrt(n) + 1)
     exps: dict[int, int] = {}
     rem = n
-    for atom in inst.atoms:
-        q = atom.norm
+    for aid, q in enumerate(inst.norms):
         if q * q > rem:
             break
         while rem % q == 0:
-            exps[atom.id] = exps.get(atom.id, 0) + 1
+            exps[aid] = exps.get(aid, 0) + 1
             rem //= q
     if rem > 1:
         inst.extend(rem)
@@ -146,6 +166,14 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+#: Atom tags of the prime ideals of a quadratic field, by splitting kind.
+#: Only the two ideals above a split prime share a norm, and their tags
+#: order them as their labels do.
+INERT, RAMIFIED, SPLIT_A, SPLIT_B = 0, 1, 2, 3
+_SUFFIX = {INERT: "", RAMIFIED: "r", SPLIT_A: "a", SPLIT_B: "b"}
+_TAG = {suffix: tag for tag, suffix in _SUFFIX.items()}
+
+
 def split_prime(disc: int, p: int) -> SplittingRecord:
     """Behavior of the rational prime p in the field of discriminant disc."""
     s = kronecker(disc, p)
@@ -154,6 +182,21 @@ def split_prime(disc: int, p: int) -> SplittingRecord:
     if s == 1:
         return SplittingRecord(p, "split", ((p, f"p{p}a"), (p, f"p{p}b")))
     return SplittingRecord(p, "inert", ((p * p, f"p{p}"),))
+
+
+def character_values(disc: int, n: np.ndarray) -> np.ndarray:
+    """Kronecker symbols (disc|n) for an array of positive n, as int8.
+
+    For a fundamental discriminant disc, n -> (disc|n) is a character mod
+    |disc|, so :func:`kronecker` runs once per distinct residue n mod |disc|.
+    """
+    residues, inverse = np.unique(n % abs(disc), return_inverse=True)
+    values = np.array([kronecker(disc, int(r)) for r in residues], dtype=np.int8)
+    return values[inverse]
+
+
+def _ideal_label(norm: int, tag: int) -> str:
+    return f"p{isqrt(norm) if tag == INERT else norm}{_SUFFIX[tag]}"
 
 
 def _is_squarefree(n: int) -> bool:
@@ -178,10 +221,27 @@ def quadratic_field(d: int) -> MonoidInstance:
     desc = QuadraticFieldDescriptor(d, disc, (2, 0) if d > 0 else (0, 2))
 
     def source(lo, hi):
-        for p in sieve_primes(hi):
-            for norm, label in split_prime(disc, p).atoms:
-                if lo < norm <= hi:
-                    yield (norm, label)
+        primes = _prime_array(hi)
+        # norm p for ramified and split primes, p*p for inert ones
+        primes = primes[(primes > lo) | (primes <= isqrt(hi))]
+        chi = character_values(disc, primes)
+        split = primes[chi == 1]
+        parts = (primes[chi == 0], split, split, primes[chi == -1] ** 2)
+        norms = np.concatenate(parts)
+        tags = np.repeat(
+            np.array([RAMIFIED, SPLIT_A, SPLIT_B, INERT], dtype=np.int8), [len(a) for a in parts]
+        )
+        keep = (norms > lo) & (norms <= hi)
+        return norms[keep], tags[keep]
+
+    def parse(label):
+        m = re.fullmatch(r"p(\d+)([abr]?)", label)
+        if m is None:
+            return None
+        for norm, known in split_prime(disc, int(m.group(1))).atoms:
+            if known == label:
+                return norm, _TAG[m.group(2)]
+        return None
 
     if d < 0:
         roots = 6 if disc == -3 else 4 if disc == -4 else 2
@@ -191,7 +251,9 @@ def quadratic_field(d: int) -> MonoidInstance:
         inv = FieldInvariants(2, 0, regulator_real(disc), None, 2, disc)
         c = None  # requires the class number, which we only estimate
 
-    inst = MonoidInstance(f"Q(sqrt({d}))", source, DensityMeta(c=c, alpha=0.5))
+    inst = MonoidInstance(
+        f"Q(sqrt({d}))", source, LabelCodec(_ideal_label, parse), DensityMeta(c=c, alpha=0.5)
+    )
     inst.invariants = inv
     inst.descriptor = desc
     return inst

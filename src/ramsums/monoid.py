@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from math import isqrt
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -51,8 +54,9 @@ def _floor(x) -> int:
 
 #: Hard ceiling on atom-table extension; sieving far beyond the experiment
 #: scale (1e7) is always a caller mistake, e.g. factoring an integer with a
-#: huge prime divisor.
-MAX_EXTEND = 10**8
+#: huge prime divisor.  It admits the atom of norm p**2 above an inert prime
+#: p up to 14142, so inert labels just past 10**4 resolve.
+MAX_EXTEND = 2 * 10**8
 
 
 class Element:
@@ -143,26 +147,72 @@ class Element:
 ZERO = Element()
 
 
+@dataclass(frozen=True)
+class LabelCodec:
+    """Two-way map between an atom's (norm, tag) and its label.
+
+    ``format(norm, tag)`` gives the label.  ``parse(label)`` gives the
+    (norm, tag) of the atom the label would name, materialized or not, or
+    None when no atom of the instance can carry it.
+    """
+
+    format: Callable[[int, int], str]
+    parse: Callable[[str], tuple[int, int] | None]
+
+
+class AtomTable(Sequence):
+    """Read-only sequence view of an instance's atoms, in id order.
+
+    :class:`Atom` objects are built on each access from the stored norm and
+    tag, so holding the view costs nothing per atom.
+    """
+
+    __slots__ = ("_inst",)
+
+    def __init__(self, inst: "MonoidInstance"):
+        self._inst = inst
+
+    def __len__(self) -> int:
+        return len(self._inst._norms)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._inst.atom(j) for j in range(*i.indices(len(self)))]
+        return self._inst.atom(i)
+
+    def __iter__(self) -> Iterator[Atom]:
+        atom = self._inst.atom
+        return (atom(j) for j in range(len(self)))
+
+
 class MonoidInstance:
     """An extendable, norm-sorted atom table with cached counting data.
 
-    ``atom_source(lo, hi)`` must yield a ``(norm, label)`` pair, in any
-    order, for every atom of the instance with norm in the half-open window
-    ``(lo, hi]``.  After :meth:`extend`, every atom with norm <= the bound is
-    present exactly once, with ids assigned in (norm, label) order; ids are
-    therefore stable under further extension.
+    ``atom_source(lo, hi)`` must return two equal-length arrays ``(norms,
+    tags)``, in any order, with one entry for every atom of the instance
+    whose norm lies in the half-open window ``(lo, hi]``.  A tag is a small
+    integer (it fits in int8) that tells apart atoms of equal norm; ordering
+    atoms by (norm, tag) must order them as by (norm, label).  ``labels``
+    turns (norm, tag) into the atom's label and back.
+
+    After :meth:`extend`, every atom with norm <= the bound is present exactly
+    once, with ids assigned in (norm, label) order; ids are therefore stable
+    under further extension.  The table keeps norms and tags in numpy arrays
+    plus the norms as a list of Python ints for the exact evaluators;
+    :class:`Atom` objects and labels are built on demand.
 
     The table is append-only and extension is serialized behind a lock, so
     concurrent readers always see a consistent prefix.  All other state is
-    counting caches, rebuilt transparently when a larger bound is requested;
-    a cache is only ever replaced by one covering a wider range with
-    identical content on the shared indices.
+    counting caches, built on first use and rebuilt when a larger bound is
+    requested; a cache is only ever replaced by one covering a wider range
+    with identical content on the shared indices.
     """
 
     def __init__(
         self,
         name: str,
-        atom_source: Callable[[int, int], Iterable[tuple[int, str]]],
+        atom_source: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+        labels: LabelCodec,
         density: DensityMeta = DensityMeta(),
         parse_int: bool = False,
     ):
@@ -171,15 +221,14 @@ class MonoidInstance:
         self.invariants = None  # populated by number-field constructors
         self.descriptor = None
         self._source = atom_source
-        self._atoms: list[Atom] = []
+        self._labels = labels
+        self._norm_arr = np.zeros(0, dtype=np.int64)
+        self._tags = np.zeros(0, dtype=np.int8)
         self._norms: list[int] = []
-        self._by_label: dict[str, Atom] = {}
         self._hw = 1  # every atom with norm <= _hw is materialized
         self._parse_int = parse_int
-        self._lock = threading.Lock()  # guards extension and cache rebuilds
-        self._cnt_bound = -1
-        self._cnt = None
-        self._cum = None
+        self._lock = threading.Lock()  # guards extension and cache swaps
+        self._counts = None  # (cnt, cumulative cnt), valid up to len(cnt) - 1
         self._harm = None
         self._mu_cum = None
 
@@ -190,9 +239,14 @@ class MonoidInstance:
         return self._parse_int
 
     @property
-    def atoms(self) -> list[Atom]:
-        """Materialized atoms, norm-sorted; treat as read-only."""
-        return self._atoms
+    def atoms(self) -> AtomTable:
+        """Materialized atoms, norm-sorted."""
+        return AtomTable(self)
+
+    @property
+    def norms(self) -> list[int]:
+        """Atom norms by id, as Python ints; treat as read-only."""
+        return self._norms
 
     def extend(self, x) -> None:
         bound = _floor(x)
@@ -203,39 +257,66 @@ class MonoidInstance:
         with self._lock:
             if bound <= self._hw:  # another thread got here first
                 return
-            fresh = sorted(self._source(self._hw, bound))
-            base = len(self._atoms)
-            for i, (norm, label) in enumerate(fresh):
-                if norm < 2:
-                    raise ValueError(f"atom norm must be >= 2, got {norm}")
-                if label in self._by_label:
+            norms, tags = self._source(self._hw, bound)
+            norms = np.asarray(norms, dtype=np.int64)
+            tags = np.asarray(tags, dtype=np.int8)
+            order = np.lexsort((tags, norms))
+            norms, tags = norms[order], tags[order]
+            if norms.size:
+                if norms[0] < 2:
+                    raise ValueError(f"atom norm must be >= 2, got {norms[0]}")
+                if norms[0] <= self._hw or norms[-1] > bound:
+                    raise ValueError(f"atom source produced a norm outside ({self._hw}, {bound}]")
+                dup = np.flatnonzero((norms[1:] == norms[:-1]) & (tags[1:] == tags[:-1]))
+                if dup.size:
+                    label = self._labels.format(int(norms[dup[0]]), int(tags[dup[0]]))
                     raise ValueError(f"atom source produced duplicate label {label!r}")
-                atom = Atom(base + i, int(norm), label)
-                self._atoms.append(atom)
-                self._norms.append(atom.norm)
-                self._by_label[label] = atom
+            # arrays first: readers take the list's length as the table's
+            self._norm_arr = np.concatenate((self._norm_arr, norms))
+            self._tags = np.concatenate((self._tags, tags))
+            self._norms.extend(norms.tolist())
             self._hw = bound
 
     def ensure_atom_count(self, n: int) -> None:
         target = max(self._hw, 2)
-        while len(self._atoms) < n:
+        while len(self._norms) < n:
             target *= 2
             if target > 10**9:
                 raise RuntimeError("atom stream too sparse")
             self.extend(target)
 
     def atom(self, aid: int) -> Atom:
-        return self._atoms[aid]
+        aid = range(len(self._norms))[aid]  # list indexing rules
+        norm = self._norms[aid]
+        return Atom(aid, norm, self._labels.format(norm, int(self._tags[aid])))
+
+    def parse_label(self, label: str) -> tuple[int, int] | None:
+        """(norm, tag) of the atom ``label`` names, materialized or not, or
+        None when the label is not the canonical label of any atom."""
+        key = self._labels.parse(label)
+        if key is None or self._labels.format(*key) != label:
+            return None
+        return key
 
     def atom_by_label(self, label: str) -> Atom | None:
-        return self._by_label.get(label)
+        """The materialized atom with this label, or None."""
+        key = self.parse_label(label)
+        if key is None:
+            return None
+        norm, tag = key
+        norms = self._norms
+        for aid in range(bisect_left(norms, norm), bisect_right(norms, norm)):
+            if self._tags[aid] == tag:
+                return self.atom(aid)
+        return None
 
     # -- element operations --------------------------------------------
 
     def norm(self, e: Element) -> int:
+        norms = self._norms
         n = 1
         for aid, exp in e.exps:
-            n *= self._atoms[aid].norm ** exp
+            n *= norms[aid] ** exp
         return n
 
     def divisors(self, e: Element) -> list[Element]:
@@ -245,7 +326,7 @@ class MonoidInstance:
         """
         items = [(1, ())]
         for aid, emax in e.exps:
-            q = self._atoms[aid].norm
+            q = self._norms[aid]
             grown = []
             for norm0, path in items:
                 pw = 1
@@ -292,27 +373,32 @@ class MonoidInstance:
         return iter([Element(path) for _, path in items])
 
     def norm_counts(self, bound) -> np.ndarray:
-        """Array ``cnt`` with ``cnt[n]`` = number of elements of norm exactly
-        n, valid for n <= bound (the array may extend further)."""
-        b = max(_floor(bound), 1)
-        if self._cnt is None or b > self._cnt_bound:
-            self._build_counts(b)
-        return self._cnt
+        """Array ``cnt`` (int32) with ``cnt[n]`` = number of elements of norm
+        exactly n, valid for n <= bound (the array may extend further)."""
+        return self._counts_to(max(_floor(bound), 1))[0]
 
     def count_up_to(self, x) -> int:
         b = _floor(x)
         if b < 1:
             return 0
-        self.norm_counts(b)
-        return int(self._cum[b])
+        return int(self._counts_to(b)[1][b])
 
     def harmonic_up_to(self, x) -> float:
         """Sum of 1/norm over elements with norm <= x (float)."""
         b = _floor(x)
         if b < 1:
             return 0.0
-        self.norm_counts(b)
-        return float(self._harm[b])
+        harm = self._harm
+        if harm is None or b >= len(harm):
+            cnt = self.norm_counts(b)
+            harm = np.empty(len(cnt))
+            harm[0] = 0.0
+            np.divide(cnt[1:], np.arange(1, len(cnt), dtype=np.float64), out=harm[1:])
+            np.cumsum(harm, out=harm)
+            with self._lock:
+                if self._harm is None or len(harm) > len(self._harm):
+                    self._harm = harm
+        return float(harm[b])
 
     def mertens_up_to(self, x) -> int:
         """Signed squarefree count: sum of (-1)**degree over squarefree
@@ -320,32 +406,63 @@ class MonoidInstance:
         b = _floor(x)
         if b < 1:
             return 0
-        self.norm_counts(b)
-        return int(self._mu_cum[b])
+        mu_cum = self._mu_cum
+        if mu_cum is None or b >= len(mu_cum):
+            mu_cum = np.cumsum(self._sieve(b, squarefree=True), dtype=np.int64)
+            with self._lock:
+                if self._mu_cum is None or len(mu_cum) > len(self._mu_cum):
+                    self._mu_cum = mu_cum
+        return int(mu_cum[b])
 
-    def _build_counts(self, bound: int) -> None:
+    def _counts_to(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
+        counts = self._counts
+        if counts is not None and bound < len(counts[0]):
+            return counts
+        cnt = self._sieve(bound, squarefree=False)
+        # int32 prefix sums when the total fits, without an int64 temporary
+        wide = cnt.sum(dtype=np.int64) >= 2**31
+        counts = (cnt, np.cumsum(cnt, dtype=np.int64 if wide else np.int32))
+        with self._lock:
+            if self._counts is None or len(cnt) > len(self._counts[0]):
+                self._counts = counts
+        return counts
+
+    def _sieve(self, bound: int, squarefree: bool) -> np.ndarray:
+        """int32 array of length bound + 1 whose entry n counts the elements
+        of norm n: all of them, or only the squarefree ones, each signed by
+        (-1)**degree.
+
+        Atoms with q*q <= bound are applied one at a time by slice passes.
+        A larger atom divides an element of norm <= bound at most once, and
+        its cofactor has norm m < sqrt(bound), so it is built from small
+        atoms only.  The large atoms are therefore applied together, in one
+        vectorized pass per cofactor m.
+        """
         self.extend(bound)
-        cnt = np.zeros(bound + 1, dtype=np.int64)
-        sqf = np.zeros(bound + 1, dtype=np.int64)
+        norms = self._norm_arr
+        n_small = int(np.searchsorted(norms, isqrt(bound), side="right"))
+        n_atoms = int(np.searchsorted(norms, bound, side="right"))
+        cnt = np.zeros(bound + 1, dtype=np.int32)
         cnt[1] = 1
-        sqf[1] = 1
-        for q in self._norms:
-            if q > bound:
-                break
-            # squarefree layer: exponent exactly 0 or 1
-            sqf[q::q] -= sqf[1 : bound // q + 1].copy()
-            # full exponent range via binary-power pseudo-atoms: applying
-            # q**(2**j) once each realizes every exponent exactly once
+        for q in self._norms[:n_small]:
+            if squarefree:
+                cnt[q::q] -= cnt[1 : bound // q + 1].copy()
+                continue
+            # binary-power pseudo-atoms: applying q**(2**j) once each
+            # realizes every exponent exactly once
             pw = q
             while pw <= bound:
                 cnt[pw::pw] += cnt[1 : bound // pw + 1].copy()
                 pw *= pw
-        weights = np.zeros(bound + 1)
-        weights[1:] = cnt[1:] / np.arange(1, bound + 1)
-        with self._lock:
-            if bound > self._cnt_bound:  # never replace a wider cache
-                self._cnt = cnt
-                self._cum = np.cumsum(cnt)
-                self._harm = np.cumsum(weights)
-                self._mu_cum = np.cumsum(sqf)
-                self._cnt_bound = bound
+        if n_atoms == n_small:
+            return cnt
+        # split primes give two atoms of one norm
+        large, mult = np.unique(norms[n_small:n_atoms], return_counts=True)
+        mult = mult.astype(np.int32) * (-1 if squarefree else 1)
+        # cofactors m < sqrt(bound) hold their final values; writes land above
+        for m in range(1, bound // int(large[0]) + 1):
+            c = int(cnt[m])
+            if c:
+                top = int(np.searchsorted(large, bound // m, side="right"))
+                cnt[large[:top] * m] += c * mult[:top]
+        return cnt

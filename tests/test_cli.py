@@ -78,11 +78,19 @@ def test_csum_command(capsys):
         capsys, "csum", "--instance", "q:-1", "--k", "p2r", "--m", "p2r^2"
     )
     assert code == 0 and out.strip() == "1"
+    # the inert ideal above 10007 has norm 10007**2 and label p10007
+    code, out, err = run(capsys, "csum", "--instance", "q:-1", "--k", "p10007", "--m", "1")
+    assert (code, out, err) == (0, "-1\n", "")
 
 
 def test_csum_bad_spec_exits_2(capsys):
     code, _, err = run(capsys, "csum", "--instance", "z", "--k", "wat", "--m", "4")
     assert code == 2 and "error" in err
+    # 10007 is inert in Q(i), and p5 splits; p007 is not canonical
+    for label in ("p10007a", "p10007r", "p5", "p007"):
+        code, out, err = run(capsys, "csum", "--instance", "q:-1", "--k", label, "--m", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown atom label {label!r} in Q(sqrt(-1))\n"
 
 
 def test_count_command(capsys):
@@ -230,6 +238,8 @@ def test_caps(capsys):
         ["count", "--x", "-5"],
         ["count", "--x", "nan"],
         ["sxy", "--x", "100", "--y", "0"],
+        ["check", "--suite", "apostol", "--trials", "-1"],
+        ["check", "--suite", "th1", "--bound", "-5"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

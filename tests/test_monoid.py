@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,3 +207,128 @@ def test_concurrent_extension_is_consistent():
     assert len(labels) == len(set(labels))
     norms = [a.norm for a in inst.atoms]
     assert norms == sorted(norms)
+
+
+# -- the batched sieve against independent oracles ----------------------
+
+#: Discriminants covering every behavior of 2 (ramified, split, inert) and
+#: of small odd primes, keyed to the d of Q(sqrt(d)).
+FIELD_D = {-4: -1, -3: -3, -23: -23, 5: 5, 8: 2, 13: 13}
+
+
+def _near_squares():
+    """Bounds around the sqrt split of the sieve: squares, and p*p - 1,
+    p*p, p*p + 1 for small primes p."""
+    from ramsums.fields import sieve_primes
+
+    near = st.sampled_from(sieve_primes(50)).flatmap(
+        lambda p: st.sampled_from([p * p - 1, p * p, p * p + 1])
+    )
+    return st.one_of(st.integers(1, 2500), st.integers(1, 50).map(lambda r: r * r), near)
+
+
+def _integer_mobius(n: int) -> int:
+    mu, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            mu = -mu
+        f += 1
+    return -mu if n > 1 else mu
+
+
+@given(st.sampled_from(sorted(FIELD_D)), _near_squares())
+@settings(max_examples=40, deadline=None)
+def test_sieve_matches_character_oracle(disc, bound):
+    from oracles import kronecker_counts
+
+    from ramsums import quadratic_field
+
+    inst = quadratic_field(FIELD_D[disc])  # fresh: the sieve splits at this bound
+    oracle = kronecker_counts(disc, bound)
+    assert inst.norm_counts(bound)[1 : bound + 1].tolist() == oracle[1:]
+    assert [inst.count_up_to(x) for x in range(bound + 1)] == [0] + [
+        sum(oracle[1 : x + 1]) for x in range(1, bound + 1)
+    ]
+
+
+@given(st.sampled_from(sorted(FIELD_D)), _near_squares())
+@settings(max_examples=30, deadline=None)
+def test_mertens_matches_scan(disc, bound):
+    from ramsums import mobius, quadratic_field
+
+    inst = quadratic_field(FIELD_D[disc])
+    brute = sum(mobius(Element(path)) for _, path in inst.scan_up_to(bound))
+    assert inst.mertens_up_to(bound) == brute
+
+
+@given(_near_squares())
+@settings(max_examples=30, deadline=None)
+def test_integer_counts_and_mertens(bound):
+    from ramsums import rational_integers
+
+    inst = rational_integers()
+    assert inst.norm_counts(bound)[1 : bound + 1].tolist() == [1] * bound
+    assert inst.count_up_to(bound) == bound
+    fresh = rational_integers()
+    assert fresh.mertens_up_to(bound) == sum(_integer_mobius(n) for n in range(1, bound + 1))
+
+
+@pytest.mark.parametrize("disc", sorted(FIELD_D) + [-7, -8, 12, 17, -1003])
+def test_character_table_matches_jacobi(disc):
+    sympy = pytest.importorskip("sympy")
+    from ramsums import kronecker
+    from ramsums.fields import character_values, sieve_primes
+
+    primes = sieve_primes(3000)
+    chi = character_values(disc, np.array(primes)).tolist()
+    assert chi == [kronecker(disc, p) for p in primes]
+    for p, c in zip(primes[1:], chi[1:]):  # odd primes
+        assert c == sympy.jacobi_symbol(disc % p, p)
+
+
+def test_concurrent_lazy_prefixes_are_consistent():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from ramsums import quadratic_field
+
+    inst = quadratic_field(-23)
+    fresh = quadratic_field(-23)
+    rng = random.Random(3)
+    bounds = [rng.randint(1, 3000) for _ in range(48)]
+    queries = (inst.count_up_to, inst.harmonic_up_to, inst.mertens_up_to)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(queries[i % 3], b) for i, b in enumerate(bounds)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    want = [
+        (fresh.count_up_to, fresh.harmonic_up_to, fresh.mertens_up_to)[i % 3](b)
+        for i, b in enumerate(bounds)
+    ]
+    assert got == want
+
+
+# -- exactness ------------------------------------------------------------
+
+
+def test_atom_norms_stay_python_ints(zint, qi):
+    from ramsums import ramanujan_sum
+
+    for inst, label in ((zint, "p997"), (qi, "p997a"), (qi, "p31")):
+        inst.extend(1000)
+        assert all(type(inst.atom(i).norm) is int for i in range(len(inst.atoms)))
+        assert all(type(q) is int for q in inst.norms)
+        atom = inst.atom_by_label(label)
+        q = atom.norm
+        k = Element(((atom.id, 40),))
+        assert inst.norm(k) == q**40  # far past int64
+        assert [inst.norm(d) for d in inst.divisors(k)] == [q**e for e in range(41)]
+        assert ramanujan_sum(inst, k, k) == q**40 - q**39
+        assert ramanujan_sum(inst, k, Element(((atom.id, 39),))) == -(q**39)
