@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,7 +30,9 @@ SUITES = ("th1", "th2", "apostol", "holder", "oracle")
 
 
 def _pmap(fn, items, workers: int):
-    if workers and workers > 1:
+    """[fn(item) for item in items], on a pool of at most one thread per CPU."""
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

@@ -1,10 +1,10 @@
 """Command-line front end: instances, sums, identity suites, and scans.
 
 Exit codes: 0 on success, 1 when a check suite reports failures, 2 on
-input errors.  All numeric output is locale-independent; floats are printed
-with 12 significant digits in CSV mode, and rows are emitted in a
-deterministic scan order, so outputs are byte-identical across runs and
-worker counts for a fixed configuration.
+input errors, 3 on an internal error.  All numeric output is
+locale-independent; floats are printed with 12 significant digits in CSV
+mode, and rows are emitted in a deterministic scan order, so outputs are
+byte-identical across runs and worker counts for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ class CLIError(Exception):
 _LABEL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*?)(?:\^(\d+))?$")
 
 
-def _resolve_label(inst: MonoidInstance, label: str):
-    """The atom named by ``label``, extending the table to its norm."""
-    key = inst.parse_label(label)
-    if key is None:
-        return None
-    inst.extend(key[0])
-    return inst.atom_by_label(label)
-
-
 def parse_element(inst: MonoidInstance, text: str) -> Element:
     """Parse an element spec: a positive integer (rational-integer instance
     only), or a product of atom-label powers like ``p2r^2*p5a``."""
@@ -61,7 +52,7 @@ def parse_element(inst: MonoidInstance, text: str) -> Element:
         if not m:
             raise CLIError(f"bad atom power {part.strip()!r}")
         label, power = m.group(1), int(m.group(2) or 1)
-        atom = _resolve_label(inst, label)
+        atom = inst.atom_by_label(label)
         if atom is None:
             raise CLIError(f"unknown atom label {label!r} in {inst.name}")
         exps[atom.id] = exps.get(atom.id, 0) + power
@@ -132,8 +123,9 @@ def emit_json(obj, args: argparse.Namespace) -> None:
 
 def _check_bounds(args: argparse.Namespace) -> None:
     """x and y must be finite and >= 1, and within the caps unless
-    --allow-large is given; check's --bound and --trials must be >= 0.
-    Subcommands that read these options alone declare them."""
+    --allow-large is given; check's --bound and --trials must be >= 0 and
+    its --workers >= 1.  Subcommands that read these options alone declare
+    them."""
     for name, cap in (("x", MAX_X), ("y", MAX_Y)):
         v = getattr(args, name, None)
         if v is None:
@@ -142,10 +134,10 @@ def _check_bounds(args: argparse.Namespace) -> None:
             raise CLIError(f"{name}={v} must be a finite number >= 1")
         if v > cap and not args.allow_large:
             raise CLIError(f"{name}={v} exceeds the cap {cap}; pass --allow-large to override")
-    for name in ("bound", "trials"):
+    for name, low in (("bound", 0), ("trials", 0), ("workers", 1)):
         v = getattr(args, name, None)
-        if v is not None and v < 0:
-            raise CLIError(f"{name}={v} must be >= 0")
+        if v is not None and v < low:
+            raise CLIError(f"{name}={v} must be >= {low}")
 
 
 def _scan_points(limit) -> list:
@@ -155,6 +147,12 @@ def _scan_points(limit) -> list:
         v *= 10
     pts.append(limit)
     return pts
+
+
+def _largest_first(fn, points: list) -> list:
+    """[fn(p) for p in points], evaluated from the last (largest) point
+    back, so the first call grows the instance's tables for all the rest."""
+    return [fn(p) for p in reversed(points)][::-1]
 
 
 # -- subcommands ------------------------------------------------------
@@ -198,11 +196,8 @@ def cmd_check(inst, args) -> int:
 
 def cmd_count(inst, args) -> int:
     points = _scan_points(args.x) if args.scan else [args.x]
-    inst.norm_counts(args.x)  # one table for every point
-    rows = []
-    for x in points:
-        n = inst.count_up_to(x)
-        rows.append((x, n, n / float(x)))
+    counts = _largest_first(inst.count_up_to, points)
+    rows = [(x, n, n / float(x)) for x, n in zip(points, counts)]
     emit_rows(["x", "count", "count_over_x"], rows, args)
     return 0
 
@@ -214,14 +209,9 @@ def cmd_residue(inst, args) -> int:
     mode = "direct" if args.direct else "grouped"
     target = csums.residue_target(inst, k)
     points = _scan_points(args.x) if args.scan else [args.x]
-    if mode == "grouped":
-        # one table for every point: the series reads H(x / norm(D)) for
-        # K - D squarefree, and the smallest such D is K less one of each atom
-        rad = Element(tuple((aid, 1) for aid, _ in k.exps))
-        inst.harmonic_up_to(math.floor(args.x) // inst.norm(k.sub(rad)))
+    ests = _largest_first(lambda x: csums.residue_series(inst, k, x, mode=mode), points)
     rows = []
-    for x in points:
-        est = csums.residue_series(inst, k, x, mode=mode)
+    for x, est in zip(points, ests):
         err = abs(est - target) if target is not None else None
         rows.append((x, est, target, err))
     emit_rows(["x", "estimate", "target", "abs_err"], rows, args)
@@ -233,13 +223,8 @@ def cmd_sxy(inst, args) -> int:
         grid = [(x, y) for x in _scan_points(args.x) for y in (2, 5, 10, 20, 50) if y <= args.y]
     else:
         grid = [(args.x, args.y)]
-    # one table for every grid point
-    inst.norm_counts(max(args.x, args.y))
-    inst.mertens_up_to(args.y)
-    rows = []
-    for x, y in grid:
-        rep = csums.double_sum(inst, x, y)
-        rows.append((x, y, rep.value, rep.residual, rep.bound_ref))
+    reps = _largest_first(lambda xy: csums.double_sum(inst, *xy), grid)
+    rows = [(x, y, r.value, r.residual, r.bound_ref) for (x, y), r in zip(grid, reps)]
     emit_rows(["x", "y", "s", "s_minus_cx", "bound_ref"], rows, args)
     return 0
 
@@ -368,6 +353,10 @@ def main(argv=None) -> int:
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: 1 is reserved for suites
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -119,19 +119,21 @@ def factor_integer(inst: MonoidInstance, n: int) -> Element:
         raise ValueError(f"positive integer required, got {n}")
     if n == 1:
         return ZERO
-    inst.extend(isqrt(n) + 1)
     exps: dict[int, int] = {}
-    rem = n
-    for aid, q in enumerate(inst.norms):
-        if q * q > rem:
-            break
-        while rem % q == 0:
-            exps[aid] = exps.get(aid, 0) + 1
-            rem //= q
-    if rem > 1:
-        inst.extend(rem)
-        atom = inst.atom_by_label(f"p{rem}")
-        exps[atom.id] = exps.get(atom.id, 0) + 1
+    rem, aid = n, 0
+    # the primes to 2**16 first: a smooth n then never needs the table
+    # near sqrt(n), only near the square root of what is left
+    for bound in (min(isqrt(n), 2**16), None):
+        inst.extend(isqrt(rem) + 1 if bound is None else bound)
+        norms = inst.norms
+        while aid < len(norms) and norms[aid] ** 2 <= rem:
+            while rem % norms[aid] == 0:
+                exps[aid] = exps.get(aid, 0) + 1
+                rem //= norms[aid]
+            aid += 1
+    if rem > 1:  # a prime
+        aid = inst.atom_id(rem)
+        exps[aid] = exps.get(aid, 0) + 1
     return Element.of(exps)
 
 

@@ -203,9 +203,11 @@ class MonoidInstance:
 
     The table is append-only and extension is serialized behind a lock, so
     concurrent readers always see a consistent prefix.  All other state is
-    counting caches, built on first use and rebuilt when a larger bound is
-    requested; a cache is only ever replaced by one covering a wider range
-    with identical content on the shared indices.
+    counting tables, built on first use and rebuilt when a larger bound is
+    requested; a table is only ever replaced by one covering a wider range
+    with identical content on the shared indices.  Every query grows the
+    tables it reads, so callers never pre-size them: asking for the largest
+    bound first builds each table once.
     """
 
     def __init__(
@@ -227,10 +229,8 @@ class MonoidInstance:
         self._norms: list[int] = []
         self._hw = 1  # every atom with norm <= _hw is materialized
         self._parse_int = parse_int
-        self._lock = threading.Lock()  # guards extension and cache swaps
-        self._counts = None  # (cnt, cumulative cnt), valid up to len(cnt) - 1
-        self._harm = None
-        self._mu_cum = None
+        self._lock = threading.Lock()  # guards extension and table swaps
+        self._tables: dict[str, np.ndarray] = {}  # kind -> table, see _table
 
     # -- atom table ---------------------------------------------------
 
@@ -298,17 +298,21 @@ class MonoidInstance:
             return None
         return key
 
-    def atom_by_label(self, label: str) -> Atom | None:
-        """The materialized atom with this label, or None."""
-        key = self.parse_label(label)
-        if key is None:
-            return None
-        norm, tag = key
+    def atom_id(self, norm: int, tag: int = 0) -> int | None:
+        """Id of the atom with this norm and tag, extending the table to its
+        norm, or None when the instance has no such atom."""
+        self.extend(norm)
         norms = self._norms
         for aid in range(bisect_left(norms, norm), bisect_right(norms, norm)):
             if self._tags[aid] == tag:
-                return self.atom(aid)
+                return aid
         return None
+
+    def atom_by_label(self, label: str) -> Atom | None:
+        """The atom with this label, extending the table to its norm, or None."""
+        key = self.parse_label(label)
+        aid = None if key is None else self.atom_id(*key)
+        return None if aid is None else self.atom(aid)
 
     # -- element operations --------------------------------------------
 
@@ -375,57 +379,55 @@ class MonoidInstance:
     def norm_counts(self, bound) -> np.ndarray:
         """Array ``cnt`` (int32) with ``cnt[n]`` = number of elements of norm
         exactly n, valid for n <= bound (the array may extend further)."""
-        return self._counts_to(max(_floor(bound), 1))[0]
+        return self._table("counts", max(_floor(bound), 1))
 
     def count_up_to(self, x) -> int:
         b = _floor(x)
-        if b < 1:
-            return 0
-        return int(self._counts_to(b)[1][b])
+        return int(self._table("prefix", b)[b]) if b >= 1 else 0
 
     def harmonic_up_to(self, x) -> float:
         """Sum of 1/norm over elements with norm <= x (float)."""
         b = _floor(x)
-        if b < 1:
-            return 0.0
-        harm = self._harm
-        if harm is None or b >= len(harm):
-            cnt = self.norm_counts(b)
-            harm = np.empty(len(cnt))
-            harm[0] = 0.0
-            np.divide(cnt[1:], np.arange(1, len(cnt), dtype=np.float64), out=harm[1:])
-            np.cumsum(harm, out=harm)
-            with self._lock:
-                if self._harm is None or len(harm) > len(self._harm):
-                    self._harm = harm
-        return float(harm[b])
+        return float(self._table("harmonic", b)[b]) if b >= 1 else 0.0
 
     def mertens_up_to(self, x) -> int:
         """Signed squarefree count: sum of (-1)**degree over squarefree
         elements with norm <= x (the Mertens function of the instance)."""
         b = _floor(x)
-        if b < 1:
-            return 0
-        mu_cum = self._mu_cum
-        if mu_cum is None or b >= len(mu_cum):
-            mu_cum = np.cumsum(self._sieve(b, squarefree=True), dtype=np.int64)
-            with self._lock:
-                if self._mu_cum is None or len(mu_cum) > len(self._mu_cum):
-                    self._mu_cum = mu_cum
-        return int(mu_cum[b])
+        return int(self._table("mertens", b)[b]) if b >= 1 else 0
 
-    def _counts_to(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
-        counts = self._counts
-        if counts is not None and bound < len(counts[0]):
-            return counts
-        cnt = self._sieve(bound, squarefree=False)
-        # int32 prefix sums when the total fits, without an int64 temporary
-        wide = cnt.sum(dtype=np.int64) >= 2**31
-        counts = (cnt, np.cumsum(cnt, dtype=np.int64 if wide else np.int32))
+    def _table(self, kind: str, bound: int) -> np.ndarray:
+        """The cached table ``kind``, valid for indices <= bound, grown first
+        if it is shorter:
+
+        * ``counts``: int32 ``cnt[n]``, the elements of norm exactly n;
+        * ``prefix``: cumulative ``cnt``, int32 while the total fits, else int64;
+        * ``harmonic``: float64 cumulative ``cnt[n] / n``;
+        * ``mertens``: int64 cumulative signed squarefree counts.
+        """
+        table = self._tables.get(kind)
+        if table is not None and bound < len(table):
+            return table
+        if kind == "counts":
+            table = self._sieve(bound, squarefree=False)
+        elif kind == "mertens":
+            table = np.cumsum(self._sieve(bound, squarefree=True), dtype=np.int64)
+        elif kind == "prefix":
+            cnt = self.norm_counts(bound)
+            # int32 prefix sums when the total fits, without an int64 temporary
+            wide = cnt.sum(dtype=np.int64) >= 2**31
+            table = np.cumsum(cnt, dtype=np.int64 if wide else np.int32)
+        else:  # harmonic
+            cnt = self.norm_counts(bound)
+            table = np.empty(len(cnt))
+            table[0] = 0.0
+            np.divide(cnt[1:], np.arange(1, len(cnt), dtype=np.float64), out=table[1:])
+            np.cumsum(table, out=table)
         with self._lock:
-            if self._counts is None or len(cnt) > len(self._counts[0]):
-                self._counts = counts
-        return counts
+            cached = self._tables.get(kind)
+            if cached is None or len(table) > len(cached):
+                self._tables[kind] = table
+        return table
 
     def _sieve(self, bound: int, squarefree: bool) -> np.ndarray:
         """int32 array of length bound + 1 whose entry n counts the elements

@@ -81,6 +81,12 @@ def test_csum_command(capsys):
     # the inert ideal above 10007 has norm 10007**2 and label p10007
     code, out, err = run(capsys, "csum", "--instance", "q:-1", "--k", "p10007", "--m", "1")
     assert (code, out, err) == (0, "-1\n", "")
+    # 2**80 factors over the small primes; its square root is past the table limit
+    k = str(2**80)
+    code, out, err = run(capsys, "csum", "--instance", "z", "--k", k, "--m", "1")
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run(capsys, "csum", "--instance", "z", "--k", k, "--m", k)
+    assert (code, out, err) == (0, "604462909807314587353088\n", "")
 
 
 def test_csum_bad_spec_exits_2(capsys):
@@ -197,6 +203,72 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["failures"] == ["x"]
 
 
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # an unexpected exception is a bug, not bad input or a suite failure
+    from ramsums import csums
+
+    def broken(inst, x, y):
+        raise ArithmeticError("cross-check failed")
+
+    monkeypatch.setattr(csums, "double_sum", broken)
+    code, out, err = run(capsys, "sxy", "--instance", "z", "--x", "100", "--y", "5")
+    assert (code, out) == (3, "")
+    assert err == "internal error: ArithmeticError: cross-check failed\n"
+
+
+def test_check_workers_clamped_to_cpu_count(monkeypatch):
+    import ramsums.checks as checks
+
+    sizes = []
+
+    class FakePool:  # records the pool size and runs nothing in threads
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(checks, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: 3)
+    assert checks._pmap(lambda v: v * v, range(5), 64) == [0, 1, 4, 9, 16]
+    assert checks._pmap(lambda v: v, range(3), 2) == [0, 1, 2]
+    assert checks._pmap(lambda v: v, range(3), 1) == [0, 1, 2]
+    assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize(
+    "argv,sieves",
+    [
+        (["count", "--instance", "q:-1", "--x", "100000", "--scan"], 1),
+        (["sxy", "--instance", "z", "--x", "10000", "--y", "50", "--scan"], 2),
+        (["residue", "--instance", "z", "--k", "360", "--x", "100000", "--scan"], 1),
+        (["residue", "--instance", "q:-1", "--k", "p2r^3*p5a", "--x", "100000", "--scan"], 1),
+    ],
+    ids=["count", "sxy", "residue-z", "residue-qi"],
+)
+def test_scan_builds_each_table_once(capsys, monkeypatch, argv, sieves):
+    # the largest scan point is queried first and sizes every table
+    from ramsums.monoid import MonoidInstance
+
+    calls = []
+    sieve = MonoidInstance._sieve
+
+    def counted(self, bound, squarefree):
+        calls.append((bound, squarefree))
+        return sieve(self, bound, squarefree)
+
+    monkeypatch.setattr(MonoidInstance, "_sieve", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert len(calls) == sieves
+
+
 def test_residue_zero_target(capsys):
     # Lambda(6) = 0: the target column is 0, the estimate is still printed
     code, out, _ = run(
@@ -240,6 +312,7 @@ def test_caps(capsys):
         ["sxy", "--x", "100", "--y", "0"],
         ["check", "--suite", "apostol", "--trials", "-1"],
         ["check", "--suite", "th1", "--bound", "-5"],
+        ["check", "--suite", "th1", "--workers", "0"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -52,6 +52,21 @@ def test_factor_integer_rejects_runaway_sieve(zint):
     # a huge prime factor would require materializing the table up to it
     with pytest.raises(ValueError):
         factor_integer(zint, (10**9 + 7) ** 2)
+    # the small primes are tried first, and the limit stops the extension
+    fresh = rational_integers()
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        factor_integer(fresh, (10**9 + 7) ** 2)
+    assert fresh.atoms[-1].norm <= 2**16 + 1
+
+
+def test_factor_integer_smooth_beyond_the_table_limit():
+    # sqrt(2**80) is far past the atom-table limit, but 2**80 factors over {2}
+    fresh = rational_integers()
+    e = factor_integer(fresh, 2**80)
+    assert [(fresh.atom(a).norm, x) for a, x in e.exps] == [(2, 80)]
+    assert fresh.atoms[-1].norm <= 2**16
+    n = 2**40 * 3**20 * 65521
+    assert fresh.norm(factor_integer(fresh, n)) == n
 
 
 def test_kronecker_examples():
