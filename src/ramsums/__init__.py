@@ -35,6 +35,7 @@ from .csums import (
     common_divisor_sum,
     density_fit,
     divisibility_identity,
+    divisibility_sums,
     divisor_sum_identity,
     double_sum,
     first_argument_convolution,

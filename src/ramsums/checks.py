@@ -7,16 +7,16 @@ trials are scheduled, never the result.
 
 from __future__ import annotations
 
-import cmath
-import math
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from .arith import INT, ArithFn, mobius_fn, norm_fn
 from .csums import (
     common_divisor_sum,
-    divisibility_identity,
+    divisibility_sums,
     divisor_sum_identity,
     first_argument_convolution,
     jordan_like_local_form,
@@ -57,12 +57,8 @@ def suite_th2(inst: MonoidInstance, bound: int, workers: int = 1) -> dict:
     elems = list(inst.enumerate_up_to(bound))
 
     def row(n):
-        bad = []
-        for m in elems:
-            r = divisibility_identity(inst, m, n)
-            if not r.passed:
-                bad.append(r.context)
-        return bad
+        sums = divisibility_sums(inst, elems, n)
+        return [f"m={m.exps} n={n.exps}" for m, (lhs, rhs) in zip(elems, sums) if lhs != rhs]
 
     failures = [ctx for bad in _pmap(row, elems, workers) for ctx in bad]
     return {
@@ -135,7 +131,8 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, workers: int = 1) 
 
     def check_k(k):
         bad = []
-        for g in inst.divisors(k):
+        divs = inst.divisors(k)
+        for g in divs:
             brute = common_divisor_sum(inst, norm, mu, g, k)
             fast = ramanujan_sum(inst, k, g)
             if fast != brute:
@@ -143,10 +140,11 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, workers: int = 1) 
             local = jordan_like_local_form(inst, k, g)
             if local is not None and local != brute:
                 bad.append(f"local-form k={k.exps} m={g.exps}")
-        return bad
+        return len(divs), bad
 
-    failures = [ctx for bad in _pmap(check_k, elems, workers) for ctx in bad]
-    checked = sum(len(inst.divisors(k)) for k in elems)
+    per_k = _pmap(check_k, elems, workers)
+    failures = [ctx for _, bad in per_k for ctx in bad]
+    checked = sum(n for n, _ in per_k)
     rng = random.Random(seed)
     sample = min(2000, len(elems) ** 2)
     for _ in range(sample):
@@ -166,20 +164,26 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, workers: int = 1) 
 
 
 def suite_oracle(inst: MonoidInstance, bound: int, workers: int = 1) -> dict:
-    """Divisor-sum evaluator against the trigonometric sums, integers only."""
+    """Divisor-sum evaluator against the trigonometric sums, integers only.
+
+    The trigonometric sum over h coprime to k of exp(2 pi i m h / k) depends
+    on m only through m mod k, so it is evaluated once per residue, from the
+    roots of unity, and compared with csum(k, m) for every m <= bound.
+    """
     if not inst.parses_integers:
         raise ValueError("the oracle suite runs on the rational-integer instance")
     m_elts = [factor_integer(inst, m) for m in range(1, bound + 1)]
 
     def check_k(k):
-        bad = []
         k_elt = factor_integer(inst, k)
-        roots = [cmath.exp(2j * math.pi * j / k) for j in range(k)]
-        coprime = [h for h in range(k) if math.gcd(h, k) == 1]
+        h = np.arange(k)
+        roots = np.exp(2j * np.pi * h / k)
+        coprime = h[np.gcd(h, k) == 1]
+        trig = [complex(np.add.reduce(roots[(r * coprime) % k])) for r in range(k)]
+        bad = []
         for m in range(1, bound + 1):
-            z = sum(roots[(m * h) % k] for h in coprime)
             c = ramanujan_sum(inst, k_elt, m_elts[m - 1])
-            if abs(z - c) >= 1e-6:
+            if abs(trig[m % k] - c) >= 1e-6:
                 bad.append(f"k={k} m={m}")
         return bad
 

@@ -52,20 +52,32 @@ def ramanujan_sum(inst: MonoidInstance, k: Element, m: Element) -> int:
     """Exact csum(K, M); integer-valued.
 
     Factors over the atoms of K: only divisors D with K - D squarefree
-    contribute, leaving at most two exponent choices per atom.
+    contribute, leaving at most two exponent choices per atom.  The
+    exponents of M are read in one merge walk along K's atoms, restarted
+    whenever K's ids go backwards, so K need not be id-sorted.
     """
     norms = inst.norms
+    mexps = m.exps
+    n_m = len(mexps)
     total = 1
+    j = 0
+    prev = -1
     for aid, ke in k.exps:
+        if aid < prev:
+            j = 0
+        prev = aid
+        while j < n_m and mexps[j][0] < aid:
+            j += 1
+        me = mexps[j][1] if j < n_m and mexps[j][0] == aid else 0
         q = norms[aid]
-        g = min(ke, m.exponent(aid))
-        if g == ke:
-            factor = q**ke - q ** (ke - 1)
-        elif g == ke - 1:
-            factor = -(q ** (ke - 1))
+        if ke == 1:
+            total = total * (q - 1) if me else -total
+        elif me >= ke:
+            total *= q**ke - q ** (ke - 1)
+        elif me == ke - 1:
+            total *= -(q ** (ke - 1))
         else:
             return 0
-        total *= factor
     return total
 
 
@@ -102,10 +114,20 @@ def divisor_sum_identity(inst: MonoidInstance, k: Element) -> IdentityReport:
     return IdentityReport(lhs, rhs, Fraction(lhs) == rhs, context=f"k={k.exps}")
 
 
+def divisibility_sums(inst: MonoidInstance, ms, n: Element) -> list[tuple[int, int]]:
+    """(lhs, rhs) of the divisibility identity for each M in ``ms`` against
+    one N: the sum of csum(D, M) over the divisors D of N, and norm(N) when
+    N <= M, else 0.  The divisors and norm of N are computed once."""
+    divs = inst.divisors(n)
+    nn = inst.norm(n)
+    return [
+        (sum([ramanujan_sum(inst, d, m) for d in divs]), nn if n.leq(m) else 0) for m in ms
+    ]
+
+
 def divisibility_identity(inst: MonoidInstance, m: Element, n: Element) -> IdentityReport:
     """Sum of csum(D, M) over the divisors D of N: norm(N) when N <= M, else 0."""
-    lhs = sum(ramanujan_sum(inst, d, m) for d in inst.divisors(n))
-    rhs = inst.norm(n) if n.leq(m) else 0
+    ((lhs, rhs),) = divisibility_sums(inst, (m,), n)
     return IdentityReport(lhs, rhs, lhs == rhs, context=f"m={m.exps} n={n.exps}")
 
 

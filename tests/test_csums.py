@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import csum_brute, trig_csum
 from ramsums import (
@@ -77,6 +79,33 @@ def test_csum_matches_definition_quadratic(qi, q23):
             k = elems[rng.randrange(len(elems))]
             m = elems[rng.randrange(len(elems))]
             assert ramanujan_sum(inst, k, m) == csum_brute(inst, k, m)
+
+
+@st.composite
+def _csum_args(draw):
+    """(instance name, K, M) over the first eight atoms, exponents up to 4.
+
+    M is a canonical element; K's (id, exponent) pairs come in any order,
+    as the raw constructor allows.  Either may be the identity.
+    """
+    name = draw(st.sampled_from(["zint", "qi", "q23"]))
+    pairs = st.lists(
+        st.tuples(st.integers(0, 7), st.integers(1, 4)), unique_by=lambda p: p[0], max_size=4
+    )
+    k = Element(tuple(draw(st.permutations(draw(pairs)))))
+    m = Element(tuple(sorted(draw(pairs))))
+    return name, k, m
+
+
+@given(_csum_args())
+@settings(max_examples=300, deadline=None)
+def test_csum_matches_definitions_any_k_order(zint, qi, q23, args):
+    name, k, m = args
+    inst = {"zint": zint, "qi": qi, "q23": q23}[name]
+    inst.ensure_atom_count(8)
+    value = ramanujan_sum(inst, k, m)
+    assert value == common_divisor_sum(inst, norm_fn(inst), mobius_fn(), m, k)
+    assert value == csum_brute(inst, k, m)
 
 
 def test_csum_against_trig_oracle(zint):
