@@ -1,15 +1,12 @@
 """Seeded identity and oracle suites behind the ``check`` CLI command.
 
 Every suite returns a JSON-serializable report dict whose content is fully
-determined by (instance, bound/trials, seed); worker count only affects how
-trials are scheduled, never the result.
+determined by (instance, bound/trials, seed).
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,29 +27,29 @@ SUITES = ("th1", "th2", "apostol", "holder", "oracle")
 
 
 def _pmap(fn, items, workers: int):
-    """[fn(item) for item in items], on a pool of at most one thread per CPU."""
-    workers = min(workers or 1, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+    """[fn(item) for item in items]; ``workers`` is ignored.
+
+    The suites' per-item loops go through this name, with three positional
+    arguments, because the benchmark's traced mode (``perfbench/traced.py``)
+    rebinds ``_pmap`` to time them.
+    """
     return [fn(item) for item in items]
 
 
-def suite_th1(inst: MonoidInstance, bound: int, workers: int = 1) -> dict:
+def _report(suite: str, inst: MonoidInstance, **fields) -> dict:
+    """The report envelope: suite name, instance name and the suite's fields."""
+    return {"suite": suite, "instance": inst.name, **fields}
+
+
+def suite_th1(inst: MonoidInstance, bound: int) -> dict:
     """Divisor-sum identity for every element with norm <= bound."""
     ks = list(inst.enumerate_up_to(bound))
-    reports = _pmap(lambda k: divisor_sum_identity(inst, k), ks, workers)
+    reports = _pmap(lambda k: divisor_sum_identity(inst, k), ks, 1)
     failures = [r.context for r in reports if not r.passed]
-    return {
-        "suite": "th1",
-        "instance": inst.name,
-        "bound": bound,
-        "checked": len(ks),
-        "failures": failures,
-    }
+    return _report("th1", inst, bound=bound, checked=len(ks), failures=failures)
 
 
-def suite_th2(inst: MonoidInstance, bound: int, workers: int = 1) -> dict:
+def suite_th2(inst: MonoidInstance, bound: int) -> dict:
     """Divisibility identity for every pair (M, N) with norms <= bound."""
     elems = list(inst.enumerate_up_to(bound))
 
@@ -60,14 +57,8 @@ def suite_th2(inst: MonoidInstance, bound: int, workers: int = 1) -> dict:
         sums = divisibility_sums(inst, elems, n)
         return [f"m={m.exps} n={n.exps}" for m, (lhs, rhs) in zip(elems, sums) if lhs != rhs]
 
-    failures = [ctx for bad in _pmap(row, elems, workers) for ctx in bad]
-    return {
-        "suite": "th2",
-        "instance": inst.name,
-        "bound": bound,
-        "checked": len(elems) ** 2,
-        "failures": failures,
-    }
+    failures = [ctx for bad in _pmap(row, elems, 1) for ctx in bad]
+    return _report("th2", inst, bound=bound, checked=len(elems) ** 2, failures=failures)
 
 
 def _random_divisor(rng: random.Random, root: Element) -> Element:
@@ -90,7 +81,7 @@ def _random_case(rng: random.Random, inst: MonoidInstance, pool: list[int]):
     return root, k, n, tables
 
 
-def suite_apostol(inst: MonoidInstance, trials: int, seed: int, workers: int = 1) -> dict:
+def suite_apostol(inst: MonoidInstance, trials: int, seed: int) -> dict:
     """Both bilinear convolution identities on seeded random integer tuples."""
     rng = random.Random(seed)
     inst.ensure_atom_count(8)
@@ -108,18 +99,13 @@ def suite_apostol(inst: MonoidInstance, trials: int, seed: int, workers: int = 1
             return None
         return f"root={root.exps} k={k.exps} n={n.exps}"
 
-    failures = [ctx for ctx in _pmap(run, cases, workers) if ctx is not None]
-    return {
-        "suite": "apostol",
-        "instance": inst.name,
-        "trials": trials,
-        "seed": seed,
-        "checked": 2 * trials,
-        "failures": failures,
-    }
+    failures = [ctx for ctx in _pmap(run, cases, 1) if ctx is not None]
+    return _report(
+        "apostol", inst, trials=trials, seed=seed, checked=2 * trials, failures=failures
+    )
 
 
-def suite_holder(inst: MonoidInstance, bound: int, seed: int, workers: int = 1) -> dict:
+def suite_holder(inst: MonoidInstance, bound: int, seed: int) -> dict:
     """Fast evaluator against the definitional sum and the local closed form.
 
     csum(K, M) depends on M only through G = gcd(M, K), so the exhaustive
@@ -142,7 +128,7 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, workers: int = 1) 
                 bad.append(f"local-form k={k.exps} m={g.exps}")
         return len(divs), bad
 
-    per_k = _pmap(check_k, elems, workers)
+    per_k = _pmap(check_k, elems, 1)
     failures = [ctx for _, bad in per_k for ctx in bad]
     checked = sum(n for n, _ in per_k)
     rng = random.Random(seed)
@@ -153,17 +139,10 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, workers: int = 1) 
         if ramanujan_sum(inst, k, m) != common_divisor_sum(inst, norm, mu, m, k):
             failures.append(f"definition k={k.exps} m={m.exps}")
     checked += sample
-    return {
-        "suite": "holder",
-        "instance": inst.name,
-        "bound": bound,
-        "seed": seed,
-        "checked": checked,
-        "failures": failures,
-    }
+    return _report("holder", inst, bound=bound, seed=seed, checked=checked, failures=failures)
 
 
-def suite_oracle(inst: MonoidInstance, bound: int, workers: int = 1) -> dict:
+def suite_oracle(inst: MonoidInstance, bound: int) -> dict:
     """Divisor-sum evaluator against the trigonometric sums, integers only.
 
     The trigonometric sum over h coprime to k of exp(2 pi i m h / k) depends
@@ -187,14 +166,8 @@ def suite_oracle(inst: MonoidInstance, bound: int, workers: int = 1) -> dict:
                 bad.append(f"k={k} m={m}")
         return bad
 
-    failures = [ctx for bad in _pmap(check_k, range(1, bound + 1), workers) for ctx in bad]
-    return {
-        "suite": "oracle",
-        "instance": inst.name,
-        "bound": bound,
-        "checked": bound * bound,
-        "failures": failures,
-    }
+    failures = [ctx for bad in _pmap(check_k, range(1, bound + 1), 1) for ctx in bad]
+    return _report("oracle", inst, bound=bound, checked=bound * bound, failures=failures)
 
 
 def run_suite(
@@ -203,25 +176,20 @@ def run_suite(
     bound: int = 200,
     trials: int = 100,
     seed: int = 0,
-    workers: int = 1,
 ) -> dict:
     if suite == "th1":
-        return suite_th1(inst, bound, workers)
+        return suite_th1(inst, bound)
     if suite == "th2":
-        return suite_th2(inst, bound, workers)
+        return suite_th2(inst, bound)
     if suite == "apostol":
-        return suite_apostol(inst, trials, seed, workers)
+        return suite_apostol(inst, trials, seed)
     if suite == "holder":
-        return suite_holder(inst, bound, seed, workers)
+        return suite_holder(inst, bound, seed)
     if suite == "oracle":
-        return suite_oracle(inst, bound, workers)
+        return suite_oracle(inst, bound)
     if suite == "all":
         names = [s for s in SUITES if s != "oracle" or inst.parses_integers]
-        parts = [run_suite(inst, s, bound, trials, seed, workers) for s in names]
-        return {
-            "suite": "all",
-            "instance": inst.name,
-            "suites": parts,
-            "failures_total": sum(len(p["failures"]) for p in parts),
-        }
+        parts = [run_suite(inst, s, bound, trials, seed) for s in names]
+        total = sum(len(p["failures"]) for p in parts)
+        return _report("all", inst, suites=parts, failures_total=total)
     raise ValueError(f"unknown suite {suite!r}")

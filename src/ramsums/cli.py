@@ -186,7 +186,7 @@ def cmd_table(inst, args) -> int:
 
 def cmd_check(inst, args) -> int:
     report = checks.run_suite(
-        inst, args.suite, bound=args.bound, trials=args.trials, seed=args.seed, workers=args.workers
+        inst, args.suite, bound=args.bound, trials=args.trials, seed=args.seed
     )
     emit_json(report, args)
     if report.get("failures_total", len(report.get("failures", []))):
@@ -308,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=200)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted (N >= 1) and has no effect; suites run in one thread",
+    )
 
     p = command("count", "norm-bounded element counts", x_default=1000, rows=True)
     p.add_argument("--scan", action="store_true", help="emit decade scan up to --x")

@@ -53,19 +53,15 @@ def ramanujan_sum(inst: MonoidInstance, k: Element, m: Element) -> int:
 
     Factors over the atoms of K: only divisors D with K - D squarefree
     contribute, leaving at most two exponent choices per atom.  The
-    exponents of M are read in one merge walk along K's atoms, restarted
-    whenever K's ids go backwards, so K need not be id-sorted.
+    exponents of M are read in one merge walk along K's atoms (both are
+    id-sorted, see :class:`Element`).
     """
     norms = inst.norms
     mexps = m.exps
     n_m = len(mexps)
     total = 1
     j = 0
-    prev = -1
     for aid, ke in k.exps:
-        if aid < prev:
-            j = 0
-        prev = aid
         while j < n_m and mexps[j][0] < aid:
             j += 1
         me = mexps[j][1] if j < n_m and mexps[j][0] == aid else 0

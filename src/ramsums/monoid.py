@@ -64,14 +64,15 @@ class Element:
 
     ``exps`` is a tuple of (atom_id, exponent) pairs with strictly increasing
     ids and positive exponents; the empty tuple is the monoid identity.  The
-    raw constructor trusts its input; :meth:`Element.of` normalizes arbitrary
+    raw constructor sorts the pairs by id and trusts them otherwise (distinct
+    ids, positive exponents); :meth:`Element.of` validates arbitrary
     mappings.  Instances are immutable and hashable.
     """
 
     __slots__ = ("exps",)
 
     def __init__(self, exps: tuple = ()):
-        self.exps = exps
+        self.exps = tuple(sorted(exps)) if len(exps) > 1 else exps
 
     @classmethod
     def of(cls, mapping) -> "Element":
@@ -83,29 +84,21 @@ class Element:
                 raise ValueError(f"negative exponent {exp} for atom {aid}")
             if exp:
                 pairs.append((aid, exp))
-        pairs.sort()
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
+        elem = cls(tuple(pairs))
+        for (a, _), (b, _) in zip(elem.exps, elem.exps[1:]):
             if a == b:
                 raise ValueError(f"duplicate atom id {a}")
-        return cls(tuple(pairs))
+        return elem
 
     @property
     def is_zero(self) -> bool:
         return not self.exps
 
-    def exponent(self, aid: int) -> int:
-        for a, e in self.exps:
-            if a == aid:
-                return e
-            if a > aid:
-                break
-        return 0
-
     def add(self, other: "Element") -> "Element":
         merged = dict(self.exps)
         for a, e in other.exps:
             merged[a] = merged.get(a, 0) + e
-        return Element(tuple(sorted(merged.items())))
+        return Element(tuple(merged.items()))
 
     def sub(self, other: "Element") -> "Element":
         """Pointwise exponent difference; requires other <= self."""
@@ -118,7 +111,7 @@ class Element:
                 merged[a] = r
             else:
                 merged.pop(a, None)
-        return Element(tuple(sorted(merged.items())))
+        return Element(tuple(merged.items()))
 
     def gcd(self, other: "Element") -> "Element":
         mine = dict(self.exps)

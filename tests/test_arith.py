@@ -38,6 +38,12 @@ def test_mobius_examples(zint):
     assert mobius(z_el(zint, 6)) == 1
 
 
+def test_mobius_against_sympy(zint):
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 5001):
+        assert mobius(z_el(zint, n)) == sympy.mobius(n), n
+
+
 @given(st.data())
 def test_mobius_multiplicative_on_disjoint_supports(data):
     ids = data.draw(st.lists(st.integers(0, 7), unique=True, min_size=2, max_size=6))

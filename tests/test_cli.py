@@ -216,30 +216,20 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: ArithmeticError: cross-check failed\n"
 
 
-def test_check_workers_clamped_to_cpu_count(monkeypatch):
-    import ramsums.checks as checks
+def test_check_starts_no_thread(capsys, monkeypatch):
+    # --workers is accepted and has no effect: every suite runs in the caller
+    import threading
 
-    sizes = []
+    args = ["check", "--instance", "z", "--suite", "all", "--bound", "30"]
+    one = run(capsys, *args, "--workers", "1")
 
-    class FakePool:  # records the pool size and runs nothing in threads
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def refuse(self):
+        raise RuntimeError("check started a thread")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(checks, "ThreadPoolExecutor", FakePool)
-    monkeypatch.setattr(checks.os, "cpu_count", lambda: 3)
-    assert checks._pmap(lambda v: v * v, range(5), 64) == [0, 1, 4, 9, 16]
-    assert checks._pmap(lambda v: v, range(3), 2) == [0, 1, 2]
-    assert checks._pmap(lambda v: v, range(3), 1) == [0, 1, 2]
-    assert sizes == [3, 2]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    eight = run(capsys, *args, "--workers", "8")
+    assert eight[0] == 0
+    assert eight == one
 
 
 @pytest.mark.parametrize(

@@ -60,7 +60,12 @@ def test_csum_trivial_cases(zint):
 def test_csum_examples(zint, qi):
     assert ramanujan_sum(zint, z_el(zint, 6), z_el(zint, 4)) == -1
     p2r = qi.atom_by_label("p2r").id
+    p5a = qi.atom_by_label("p5a").id
     assert ramanujan_sum(qi, Element(((p2r, 1),)), Element(((p2r, 2),))) == 1
+    # M given with its larger id first is stored id-sorted
+    m = Element(((p5a, 1), (p2r, 1)))
+    assert m.exps == ((p2r, 1), (p5a, 1))
+    assert ramanujan_sum(qi, Element(((p2r, 1),)), m) == 1
 
 
 def test_csum_matches_definition_exhaustively(zint):
@@ -85,15 +90,15 @@ def test_csum_matches_definition_quadratic(qi, q23):
 def _csum_args(draw):
     """(instance name, K, M) over the first eight atoms, exponents up to 4.
 
-    M is a canonical element; K's (id, exponent) pairs come in any order,
-    as the raw constructor allows.  Either may be the identity.
+    The (id, exponent) pairs of K and of M come in any order, as the raw
+    constructor allows.  Either may be the identity.
     """
     name = draw(st.sampled_from(["zint", "qi", "q23"]))
     pairs = st.lists(
         st.tuples(st.integers(0, 7), st.integers(1, 4)), unique_by=lambda p: p[0], max_size=4
     )
     k = Element(tuple(draw(st.permutations(draw(pairs)))))
-    m = Element(tuple(sorted(draw(pairs))))
+    m = Element(tuple(draw(st.permutations(draw(pairs)))))
     return name, k, m
 
 
@@ -103,6 +108,8 @@ def test_csum_matches_definitions_any_k_order(zint, qi, q23, args):
     name, k, m = args
     inst = {"zint": zint, "qi": qi, "q23": q23}[name]
     inst.ensure_atom_count(8)
+    for e in (k, m, *inst.divisors(m)):
+        assert list(e.exps) == sorted(e.exps)
     value = ramanujan_sum(inst, k, m)
     assert value == common_divisor_sum(inst, norm_fn(inst), mobius_fn(), m, k)
     assert value == csum_brute(inst, k, m)

@@ -69,6 +69,14 @@ def test_factor_integer_smooth_beyond_the_table_limit():
     assert fresh.norm(factor_integer(fresh, n)) == n
 
 
+def test_factor_integer_against_sympy(zint):
+    sympy = pytest.importorskip("sympy")
+    smooth = [2**80, 3**40 * 5**7, 2**40 * 3**20 * 65521, 7**30, 2**10 * 3**10 * 5**10 * 7**10]
+    for n in [*range(1, 5001), *smooth]:
+        e = factor_integer(zint, n)
+        assert {zint.atom(a).norm: x for a, x in e.exps} == sympy.factorint(n), n
+
+
 def test_kronecker_examples():
     assert kronecker(-4, 5) == 1
     assert kronecker(-4, 2) == 0
