@@ -29,13 +29,13 @@ from .arith import (
     von_mangoldt_by_divisors,
 )
 from .csums import (
+    DivisorDownset,
     DoubleSumReport,
     IdentityReport,
     ZetaTruncation,
     common_divisor_sum,
     density_fit,
     divisibility_identity,
-    divisibility_sums,
     divisor_sum_identity,
     double_sum,
     first_argument_convolution,

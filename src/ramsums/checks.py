@@ -12,8 +12,8 @@ import numpy as np
 
 from .arith import INT, ArithFn, mobius_fn, norm_fn
 from .csums import (
+    DivisorDownset,
     common_divisor_sum,
-    divisibility_sums,
     divisor_sum_identity,
     first_argument_convolution,
     jordan_like_local_form,
@@ -50,14 +50,27 @@ def suite_th1(inst: MonoidInstance, bound: int) -> dict:
 
 
 def suite_th2(inst: MonoidInstance, bound: int) -> dict:
-    """Divisibility identity for every pair (M, N) with norms <= bound."""
+    """Divisibility identity for every pair (M, N) with norms <= bound.
+
+    Column by column: for each M the downset evaluator
+    (:class:`DivisorDownset`) evaluates csum(D, M) once for every D and sums
+    it over the divisors of each N, so each (D, M) pair is evaluated exactly
+    once.  The right side is norm(N) when N is among M's divisors, else 0.
+    Failures are listed N-major.
+    """
     elems = list(inst.enumerate_up_to(bound))
+    downset = DivisorDownset(inst, elems)
+    norms = [inst.norm(n) for n in elems]
 
-    def row(n):
-        sums = divisibility_sums(inst, elems, n)
-        return [f"m={m.exps} n={n.exps}" for m, (lhs, rhs) in zip(elems, sums) if lhs != rhs]
+    def column(j):
+        rhs = [0] * len(elems)
+        for i in downset.div_idx[j]:
+            rhs[i] = norms[i]
+        lhs = downset.divisibility_sums(elems[j])
+        return [(i, j) for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
 
-    failures = [ctx for bad in _pmap(row, elems, 1) for ctx in bad]
+    bad = sorted(pair for col in _pmap(column, range(len(elems)), 1) for pair in col)
+    failures = [f"m={elems[j].exps} n={elems[i].exps}" for i, j in bad]
     return _report("th2", inst, bound=bound, checked=len(elems) ** 2, failures=failures)
 
 
@@ -142,12 +155,20 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int) -> dict:
     return _report("holder", inst, bound=bound, seed=seed, checked=checked, failures=failures)
 
 
+def _trig_sums(k: int) -> list[complex]:
+    """The trigonometric sums over h coprime to k of exp(2 pi i r h / k), for
+    r = 0 .. k-1: k times the inverse DFT of the indicator of (Z/k)^x."""
+    h = np.arange(k)
+    return (k * np.fft.ifft(np.gcd(h, k) == 1)).tolist()
+
+
 def suite_oracle(inst: MonoidInstance, bound: int) -> dict:
     """Divisor-sum evaluator against the trigonometric sums, integers only.
 
-    The trigonometric sum over h coprime to k of exp(2 pi i m h / k) depends
-    on m only through m mod k, so it is evaluated once per residue, from the
-    roots of unity, and compared with csum(k, m) for every m <= bound.
+    The trigonometric sum over h coprime to k of exp(2 pi i m h / k) is the
+    definitional sum; it depends on m only through m mod k, and all k
+    residues come from one DFT (:func:`_trig_sums`).  It is compared with
+    csum(k, m) for every m <= bound.
     """
     if not inst.parses_integers:
         raise ValueError("the oracle suite runs on the rational-integer instance")
@@ -155,16 +176,12 @@ def suite_oracle(inst: MonoidInstance, bound: int) -> dict:
 
     def check_k(k):
         k_elt = factor_integer(inst, k)
-        h = np.arange(k)
-        roots = np.exp(2j * np.pi * h / k)
-        coprime = h[np.gcd(h, k) == 1]
-        trig = [complex(np.add.reduce(roots[(r * coprime) % k])) for r in range(k)]
-        bad = []
-        for m in range(1, bound + 1):
-            c = ramanujan_sum(inst, k_elt, m_elts[m - 1])
-            if abs(trig[m % k] - c) >= 1e-6:
-                bad.append(f"k={k} m={m}")
-        return bad
+        trig = _trig_sums(k)
+        return [
+            f"k={k} m={m}"
+            for m, m_elt in enumerate(m_elts, 1)
+            if abs(trig[m % k] - ramanujan_sum(inst, k_elt, m_elt)) >= 1e-6
+        ]
 
     failures = [ctx for bad in _pmap(check_k, range(1, bound + 1), 1) for ctx in bad]
     return _report("oracle", inst, bound=bound, checked=bound * bound, failures=failures)

@@ -110,20 +110,39 @@ def divisor_sum_identity(inst: MonoidInstance, k: Element) -> IdentityReport:
     return IdentityReport(lhs, rhs, Fraction(lhs) == rhs, context=f"k={k.exps}")
 
 
-def divisibility_sums(inst: MonoidInstance, ms, n: Element) -> list[tuple[int, int]]:
-    """(lhs, rhs) of the divisibility identity for each M in ``ms`` against
-    one N: the sum of csum(D, M) over the divisors D of N, and norm(N) when
-    N <= M, else 0.  The divisors and norm of N are computed once."""
-    divs = inst.divisors(n)
-    nn = inst.norm(n)
-    return [
-        (sum([ramanujan_sum(inst, d, m) for d in divs]), nn if n.leq(m) else 0) for m in ms
-    ]
+class DivisorDownset:
+    """A divisor-closed list of elements with the divisor positions of each.
+
+    ``div_idx[i]`` lists the positions in ``elems`` of the divisors of
+    ``elems[i]``.  Memory is O(len(elems) + sum of tau(N)); no table over
+    pairs is built.  Raises ValueError when a divisor of some element is
+    missing from ``elems``.
+    """
+
+    def __init__(self, inst: MonoidInstance, elems):
+        self.inst = inst
+        self.elems = list(elems)
+        index = {e: i for i, e in enumerate(self.elems)}
+        try:
+            self.div_idx = [[index[d] for d in inst.divisors(n)] for n in self.elems]
+        except KeyError as exc:
+            missing = exc.args[0]
+            raise ValueError(f"elements are not divisor-closed: {missing!r} is missing") from None
+
+    def divisibility_sums(self, m: Element) -> list[int]:
+        """Left side of the divisibility identity against one M, for every N
+        in ``elems``: the sum of csum(D, M) over the divisors D of N.
+
+        This is the zeta transform of csum(., M) over the downset: the column
+        csum(D, M) is evaluated once for every D, then summed per N."""
+        col = [ramanujan_sum(self.inst, d, m) for d in self.elems]
+        return [sum([col[i] for i in idx]) for idx in self.div_idx]
 
 
 def divisibility_identity(inst: MonoidInstance, m: Element, n: Element) -> IdentityReport:
     """Sum of csum(D, M) over the divisors D of N: norm(N) when N <= M, else 0."""
-    ((lhs, rhs),) = divisibility_sums(inst, (m,), n)
+    lhs = sum(ramanujan_sum(inst, d, m) for d in inst.divisors(n))
+    rhs = inst.norm(n) if n.leq(m) else 0
     return IdentityReport(lhs, rhs, lhs == rhs, context=f"m={m.exps} n={n.exps}")
 
 

@@ -64,15 +64,22 @@ class Element:
 
     ``exps`` is a tuple of (atom_id, exponent) pairs with strictly increasing
     ids and positive exponents; the empty tuple is the monoid identity.  The
-    raw constructor sorts the pairs by id and trusts them otherwise (distinct
-    ids, positive exponents); :meth:`Element.of` validates arbitrary
-    mappings.  Instances are immutable and hashable.
+    raw constructor sorts the pairs by id when an id goes backwards and
+    trusts them otherwise (distinct ids, positive exponents);
+    :meth:`Element.of` validates arbitrary mappings.  Instances are immutable
+    and hashable.
     """
 
     __slots__ = ("exps",)
 
     def __init__(self, exps: tuple = ()):
-        self.exps = tuple(sorted(exps)) if len(exps) > 1 else exps
+        prev = -1
+        for aid, _ in exps:
+            if aid < prev:
+                exps = tuple(sorted(exps))
+                break
+            prev = aid
+        self.exps = exps
 
     @classmethod
     def of(cls, mapping) -> "Element":

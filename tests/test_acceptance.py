@@ -16,13 +16,13 @@ from ramsums import (
     INT,
     ZERO,
     ArithFn,
+    DivisorDownset,
     Element,
     class_number_from_counting,
     class_number_imaginary,
     convolve,
     delta,
     dirichlet_inverse,
-    divisibility_identity,
     divisor_sum_identity,
     double_sum,
     factor_integer,
@@ -98,11 +98,13 @@ def test_criterion_03_divisibility_identity(zint, qi, q23, q2):
     checked = 0
     for inst in (zint, qi, q23, q2):
         elems = list(inst.enumerate_up_to(300))
-        for n in elems:
-            for m in elems:
-                checked += 1
-                if not divisibility_identity(inst, m, n).passed:
-                    failures += 1
+        downset = DivisorDownset(inst, elems)
+        norms = [inst.norm(n) for n in elems]
+        for m in elems:
+            lhs = downset.divisibility_sums(m)
+            rhs = [nn if n.leq(m) else 0 for n, nn in zip(elems, norms)]
+            checked += len(elems)
+            failures += sum(a != b for a, b in zip(lhs, rhs))
     _verdict(
         3,
         "divisibility identity, exact, all pairs with norms <= 300",

@@ -4,24 +4,30 @@ import random
 
 import pytest
 
-from oracles import csum_brute, kronecker_counts
-from ramsums import Element, IdentityReport, cli, csums, divisibility_sums, factor_integer
+from oracles import csum_brute, kronecker_counts, trig_csum
+from ramsums import DivisorDownset, Element, IdentityReport, cli, csums, factor_integer
 from ramsums import checks
 
 BOUND = 30  # 29 is the only element of Z up to the bound that 29 divides
 SEED = 5
 
 
+def _patch_csum(monkeypatch, fn) -> None:
+    """Replace csum everywhere the suites evaluate it."""
+    monkeypatch.setattr(csums, "ramanujan_sum", fn)
+    monkeypatch.setattr(checks, "ramanujan_sum", fn)
+
+
 def _sabotage_csum(monkeypatch, k_bad: Element, m_bad: Element) -> None:
-    """Make csum(k_bad, m_bad) off by one everywhere the suites evaluate it."""
+    """Make csum(k_bad, m_bad) off by one everywhere the suites evaluate it.
+    Repeated calls stack: each wraps the csum the previous one installed."""
     real = csums.ramanujan_sum
 
     def faulty(inst, k, m):
         value = real(inst, k, m)
         return value + 1 if (k.exps, m.exps) == (k_bad.exps, m_bad.exps) else value
 
-    monkeypatch.setattr(csums, "ramanujan_sum", faulty)
-    monkeypatch.setattr(checks, "ramanujan_sum", faulty)
+    _patch_csum(monkeypatch, faulty)
 
 
 def _apostol_cases(zint, trials: int, seed: int):
@@ -122,14 +128,54 @@ def test_checked_counts_match_independent_totals(name, disc, bound):
 def test_divisibility_sums_match_definition(qi, q23):
     for inst in (qi, q23):
         elems = list(inst.enumerate_up_to(40))
-        for n in elems[::3]:
-            nn = inst.norm(n)
-            brute = [
-                (sum(csum_brute(inst, d, m) for d in inst.divisors(n)), nn if n.leq(m) else 0)
-                for m in elems
-            ]
-            assert divisibility_sums(inst, elems, n) == brute
-            assert all(lhs == rhs for lhs, rhs in brute)
+        downset = DivisorDownset(inst, elems)
+        for m in elems:
+            brute = [sum(csum_brute(inst, d, m) for d in inst.divisors(n)) for n in elems]
+            rhs = [inst.norm(n) if n.leq(m) else 0 for n in elems]
+            assert downset.divisibility_sums(m) == brute == rhs
+
+
+def test_downset_rejects_a_list_that_is_not_divisor_closed(zint):
+    elems = list(zint.enumerate_up_to(30))
+    DivisorDownset(zint, elems)
+    with pytest.raises(ValueError, match="not divisor-closed"):
+        DivisorDownset(zint, [e for e in elems if e != factor_integer(zint, 3)])
+
+
+@pytest.mark.parametrize("name,bound", [("z", 30), ("q:-23", 20)])
+def test_th2_evaluates_each_pair_once(monkeypatch, name, bound):
+    inst = cli.make_instance(name)
+    n = len(list(inst.enumerate_up_to(bound)))
+    real, calls = csums.ramanujan_sum, []
+
+    def counted(inst, k, m):
+        calls.append(None)
+        return real(inst, k, m)
+
+    _patch_csum(monkeypatch, counted)
+    report = checks.suite_th2(inst, bound)
+    assert (report["failures"], len(calls)) == ([], n * n)
+
+
+def test_th2_lists_failures_n_major(zint, monkeypatch):
+    # csum(D, M) enters the left side at (N, M) for every N that D divides:
+    # (13, 7) reaches rows 13 and 26; (23, 29) and (29, 23) one row each.
+    # Column order would put (26, 7) before (23, 29), and (29, 23) before
+    # (23, 29).
+    z = lambda v: factor_integer(zint, v)
+    for k, m in ((13, 7), (23, 29), (29, 23)):
+        _sabotage_csum(monkeypatch, z(k), z(m))
+    report = checks.suite_th2(zint, BOUND)
+    pairs = [(13, 7), (23, 29), (26, 7), (29, 23)]
+    assert report["failures"] == [f"m={z(m).exps} n={z(n).exps}" for n, m in pairs]
+
+
+def test_trig_sums_match_the_definition():
+    for k in range(1, 61):
+        trig = checks._trig_sums(k)
+        assert len(trig) == k
+        for r in range(k):
+            assert abs(trig[r] - trig_csum(k, r)) < 1e-9, (k, r)
 
 
 def test_oracle_suite_reduces_m_mod_k(zint, monkeypatch):
