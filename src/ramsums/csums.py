@@ -17,6 +17,7 @@ and floats only enter where logarithms or densities do.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,6 +196,28 @@ def harmonic_partial(inst: MonoidInstance, x, exact: bool = False):
     return total
 
 
+def _scan_rows(inst: MonoidInstance, ks: list[Element], x):
+    """Yield (norm(M), sum of csum(K, M) over K in ``ks``) for every M with
+    norm(M) <= x, in :meth:`MonoidInstance.scan_up_to` order.
+
+    The merge walk in :func:`ramanujan_sum` stops at K's last atom, so it
+    reads only the head of M: its pairs with id below ``cut``, one past the
+    largest atom id in ``ks`` (a prefix, as the pairs are id-sorted).  Each
+    row is evaluated once per distinct head and memoized for the scan.
+    """
+    # As a 1-tuple, cut sorts after every pair (id, e) with id < cut[0] and
+    # before the rest, so bisect finds the end of the head.
+    cut = (1 + max((k.exps[-1][0] for k in ks if k.exps), default=-1),)
+    rows = {}
+    for norm, path in inst.scan_up_to(x):
+        head = path[: bisect_left(path, cut)]
+        row = rows.get(head)
+        if row is None:
+            m = Element(head)
+            row = rows[head] = sum(ramanujan_sum(inst, k, m) for k in ks)
+        yield norm, row
+
+
 def residue_series(inst: MonoidInstance, k: Element, x, mode: str = "grouped") -> float:
     """Norm-ordered partial sum of csum(K, M)/norm(M); estimates -c * Lambda(K).
 
@@ -217,8 +240,8 @@ def residue_series(inst: MonoidInstance, k: Element, x, mode: str = "grouped") -
         return total
     if mode == "direct":
         per_norm = [0] * (b + 1)
-        for norm, path in inst.scan_up_to(b):
-            per_norm[norm] += ramanujan_sum(inst, k, Element(path))
+        for norm, row in _scan_rows(inst, [k], b):
+            per_norm[norm] += row
         total = 0.0
         for n in range(1, b + 1):
             if per_norm[n]:
@@ -288,7 +311,11 @@ def double_sum(inst: MonoidInstance, x, y, direct_budget: int = 10**6) -> Double
         S(x, y) = sum_{n <= y} cnt[n] * n * count_up_to(x/n) * mertens(y/n).
 
     When x * y is within ``direct_budget`` the plain double sum is computed
-    as well and must agree exactly; a mismatch raises.
+    as well and must agree exactly; a mismatch raises.  The direct sum runs
+    over every M with norm(M) <= x and reads its row, the sum of csum(K, M)
+    over all K, from a memo keyed by the head of M (:func:`_scan_rows`).
+    The tail of M is never read: each K is built from atoms of norm <= y,
+    and csum(K, M) depends on M only through those atoms.
     """
     xb, yb = _floor(x), _floor(y)
     value = 0
@@ -301,11 +328,7 @@ def double_sum(inst: MonoidInstance, x, y, direct_budget: int = 10**6) -> Double
     direct = None
     if xb >= 0 and yb >= 0 and xb * yb <= direct_budget:
         ks = list(inst.enumerate_up_to(yb))
-        direct = 0
-        for _, path in inst.scan_up_to(xb):
-            m = Element(path)
-            for k in ks:
-                direct += ramanujan_sum(inst, k, m)
+        direct = sum(row for _, row in _scan_rows(inst, ks, xb))
         if direct != value:
             raise ArithmeticError(
                 f"double-sum cross-check failed at x={x}, y={y}: "

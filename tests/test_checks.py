@@ -157,6 +157,39 @@ def test_th2_evaluates_each_pair_once(monkeypatch, name, bound):
     assert (report["failures"], len(calls)) == ([], n * n)
 
 
+def test_double_sum_evaluates_one_row_per_head(zint, monkeypatch):
+    # With y = 10 the K are built from 2, 3, 5 and 7, so csum(K, M) reads
+    # only the 7-smooth part of M: one row per 7-smooth m <= 1e4.
+    def smooth(m):
+        for p in (2, 3, 5, 7):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    real, calls = csums.ramanujan_sum, []
+
+    def counted(inst, k, m):
+        calls.append(None)
+        return real(inst, k, m)
+
+    _patch_csum(monkeypatch, counted)
+    rep = csums.double_sum(zint, 10**4, 10)
+    assert rep.direct == rep.value
+    assert len(calls) == 10 * sum(smooth(m) for m in range(1, 10**4 + 1))
+
+
+def test_sxy_cross_check_catches_a_fault(zint, monkeypatch, capsys):
+    two = factor_integer(zint, 2)
+    _sabotage_csum(monkeypatch, two, two)
+    with pytest.raises(ArithmeticError, match="cross-check failed"):
+        csums.double_sum(zint, 100, 5)
+    code = cli.main(["sxy", "--instance", "z", "--x", "100", "--y", "5"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("internal error: ArithmeticError: ")
+    assert out.err.count("\n") == 1
+
+
 def test_th2_lists_failures_n_major(zint, monkeypatch):
     # csum(D, M) enters the left side at (N, M) for every N that D divides:
     # (13, 7) reaches rows 13 and 26; (23, 29) and (29, 23) one row each.

@@ -430,6 +430,53 @@ def test_double_sum_direct_agreement(zint, qi):
             assert rep.direct is not None and rep.direct == rep.value
 
 
+def _head(inst, m, y):
+    """The pairs of M on atoms of norm <= y."""
+    return Element(tuple((a, e) for a, e in m.exps if inst.norms[a] <= y))
+
+
+@st.composite
+def _head_args(draw):
+    """(instance name, y, index of K among the elements of norm <= y, M).
+
+    M ranges over the first sixteen atoms, so it often reaches past y."""
+    name = draw(st.sampled_from(["zint", "qi", "q23"]))
+    y = draw(st.integers(1, 60))
+    k_index = draw(st.integers(0, 10**6))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, 15), st.integers(1, 4)), unique_by=lambda p: p[0], max_size=5
+    ))
+    return name, y, k_index, Element(tuple(pairs))
+
+
+@given(_head_args())
+@settings(max_examples=300, deadline=None)
+def test_csum_reads_only_the_head_of_m(zint, qi, q23, args):
+    name, y, k_index, m = args
+    inst = {"zint": zint, "qi": qi, "q23": q23}[name]
+    inst.ensure_atom_count(16)
+    ks = list(inst.enumerate_up_to(y))
+    k = ks[k_index % len(ks)]
+    value = ramanujan_sum(inst, k, m)
+    assert value == ramanujan_sum(inst, k, _head(inst, m, y))
+    assert value == csum_brute(inst, k, m)
+
+
+def test_direct_sums_match_brute_force(zint, qi, q23):
+    for inst in (zint, qi, q23):
+        for x, y in ((1, 1), (60, 7), (25, 16), (9, 30)):
+            ks = list(inst.enumerate_up_to(y))
+            ms = list(inst.enumerate_up_to(x))
+            brute = sum(csum_brute(inst, k, m) for k in ks for m in ms)
+            assert double_sum(inst, x, y).direct == brute
+        k = list(inst.enumerate_up_to(30))[-1]
+        per_norm = [0] * 301
+        for m in inst.enumerate_up_to(300):
+            per_norm[inst.norm(m)] += csum_brute(inst, k, m)
+        brute = sum(v / n for n, v in enumerate(per_norm) if v)
+        assert residue_series(inst, k, 300, mode="direct") == brute
+
+
 def test_double_sum_skips_direct_when_large(zint):
     rep = double_sum(zint, 10**4, 200, direct_budget=10**5)
     assert rep.direct is None
