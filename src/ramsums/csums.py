@@ -320,7 +320,7 @@ def double_sum(inst: MonoidInstance, x, y, direct_budget: int = 10**6) -> Double
     xb, yb = _floor(x), _floor(y)
     value = 0
     if xb >= 1 and yb >= 1:
-        cnt = inst.norm_counts(max(xb, yb))
+        cnt = inst.norm_counts(yb)
         for n in range(1, yb + 1):
             c_n = int(cnt[n])
             if c_n:

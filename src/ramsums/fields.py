@@ -22,7 +22,7 @@ from math import isqrt
 
 import numpy as np
 
-from .monoid import ZERO, DensityMeta, Element, LabelCodec, MonoidInstance
+from .monoid import MAX_HYPERBOLA, ZERO, DensityMeta, Element, LabelCodec, MonoidInstance
 
 
 class InconclusiveEstimateError(ValueError):
@@ -107,6 +107,7 @@ def rational_integers() -> MonoidInstance:
         LabelCodec(_prime_label, _parse_prime_label),
         DensityMeta(c=1.0, alpha=0.0),
         parse_int=True,
+        counter=lambda b: b,
     )
 
 
@@ -197,6 +198,58 @@ def character_values(disc: int, n: np.ndarray) -> np.ndarray:
     return values[inverse]
 
 
+def _character_table(disc: int, n: int) -> np.ndarray:
+    """Kronecker symbols (disc|r) for 0 <= r < n, as int8.
+
+    n -> (disc|n) is completely multiplicative, so it is evaluated at the
+    primes below n alone and spread over the multiples of their powers.
+    """
+    chi = np.ones(n, dtype=np.int8)
+    chi[0] = 0
+    primes = _prime_array(n - 1)
+    for p, c in zip(primes.tolist(), character_values(disc, primes).tolist()):
+        pk = p
+        while c != 1 and pk < n:
+            chi[pk::pk] *= c
+            pk *= p
+    return chi
+
+
+def _ideal_counter(disc: int):
+    """Exact ideal count of the quadratic field of discriminant disc, as a
+    function of an integer x >= 1, in O(sqrt(x)) time and memory once chi
+    is tabulated.
+
+    zeta_K = zeta * L(s, chi) with chi = (disc|.), so count(x) is the sum of
+    chi(d) * floor(x/d) over d <= x.  The Dirichlet hyperbola method splits
+    it at s = isqrt(x):
+
+        sum_{d<=s} chi(d) floor(x/d) + sum_{m<=s} S(floor(x/m)) - S(s) s,
+
+    where S(t) = chi(1) + ... + chi(t) = S(t mod |disc|), as chi is a
+    non-principal character mod |disc|.  chi and S are tabulated on the
+    residues below min(|disc|, x + 1), once for the largest x asked.
+    """
+    period = abs(disc)
+    tables = [(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64))]  # chi[r], S[r], r < len
+
+    def count(x: int) -> int:
+        if x > MAX_HYPERBOLA:
+            raise ValueError(f"x={x} exceeds the ideal-count limit {MAX_HYPERBOLA}")
+        chi, S = tables[0]
+        if len(chi) < min(period, x + 1):
+            chi = _character_table(disc, min(period, x + 1))
+            S = np.cumsum(chi, dtype=np.int64)  # chi(0) = 0: S[r] sums chi over 1..r
+            tables[0] = (chi, S)
+        s = isqrt(x)
+        d = np.arange(1, s + 1, dtype=np.int64)
+        q = x // d
+        head = int((chi[d % period] * q).sum())
+        return head + int(S[q % period].sum()) - int(S[s % period]) * s
+
+    return count
+
+
 def _ideal_label(norm: int, tag: int) -> str:
     return f"p{isqrt(norm) if tag == INERT else norm}{_SUFFIX[tag]}"
 
@@ -254,7 +307,11 @@ def quadratic_field(d: int) -> MonoidInstance:
         c = None  # requires the class number, which we only estimate
 
     inst = MonoidInstance(
-        f"Q(sqrt({d}))", source, LabelCodec(_ideal_label, parse), DensityMeta(c=c, alpha=0.5)
+        f"Q(sqrt({d}))",
+        source,
+        LabelCodec(_ideal_label, parse),
+        DensityMeta(c=c, alpha=0.5),
+        counter=_ideal_counter(disc),
     )
     inst.invariants = inv
     inst.descriptor = desc

@@ -58,6 +58,11 @@ def _floor(x) -> int:
 #: p up to 14142, so inert labels just past 10**4 resolve.
 MAX_EXTEND = 2 * 10**8
 
+#: Ceiling on x for the O(sqrt(x)) counting functions the built-in
+#: instances declare: their arrays stay near 8 MB each, and their int64 partial
+#: sums far below 2**63.
+MAX_HYPERBOLA = 10**12
+
 
 class Element:
     """An exponent map atom-id -> positive exponent, stored canonically.
@@ -201,6 +206,10 @@ class MonoidInstance:
     plus the norms as a list of Python ints for the exact evaluators;
     :class:`Atom` objects and labels are built on demand.
 
+    ``counter(b)``, when given, is an exact count of the elements of norm
+    <= b for every integer b >= 1; :meth:`count_up_to` calls it in place of
+    the sieve.  It raises ValueError for a b it cannot reach.
+
     The table is append-only and extension is serialized behind a lock, so
     concurrent readers always see a consistent prefix.  All other state is
     counting tables, built on first use and rebuilt when a larger bound is
@@ -217,9 +226,11 @@ class MonoidInstance:
         labels: LabelCodec,
         density: DensityMeta = DensityMeta(),
         parse_int: bool = False,
+        counter: Callable[[int], int] | None = None,
     ):
         self.name = name
         self.density = density
+        self._counter = counter
         self.invariants = None  # populated by number-field constructors
         self.descriptor = None
         self._source = atom_source
@@ -382,8 +393,15 @@ class MonoidInstance:
         return self._table("counts", max(_floor(bound), 1))
 
     def count_up_to(self, x) -> int:
+        """Number of elements with norm <= x: from the declared ``counter``
+        when the instance has one, which builds no table, else from the
+        ``prefix`` table over the sieve."""
         b = _floor(x)
-        return int(self._table("prefix", b)[b]) if b >= 1 else 0
+        if b < 1:
+            return 0
+        if self._counter is not None:
+            return self._counter(b)
+        return int(self._table("prefix", b)[b])
 
     def harmonic_up_to(self, x) -> float:
         """Sum of 1/norm over elements with norm <= x (float)."""
@@ -401,7 +419,8 @@ class MonoidInstance:
         if it is shorter:
 
         * ``counts``: int32 ``cnt[n]``, the elements of norm exactly n;
-        * ``prefix``: cumulative ``cnt``, int32 while the total fits, else int64;
+        * ``prefix``: cumulative ``cnt``, int32 while the total fits, else
+          int64; :meth:`count_up_to` reads it only without a ``counter``;
         * ``harmonic``: float64 cumulative ``cnt[n] / n``;
         * ``mertens``: int64 cumulative signed squarefree counts.
         """

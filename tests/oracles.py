@@ -3,11 +3,13 @@
 Everything here is deliberately written from the definitions, without reusing
 the library's evaluation strategies: divisor sums are brute-force over the
 whole divisor set, trigonometric sums use complex exponentials directly, and
-ideal counts come from the quadratic-character convolution.
+ideal counts come from the quadratic-character convolution or from lattice
+points.
 """
 
 import cmath
 import math
+from math import isqrt
 
 from ramsums import mobius
 
@@ -59,6 +61,35 @@ def kronecker_counts(disc: int, limit: int) -> list[int]:
             for n in range(d, limit + 1, d):
                 counts[n] += c
     return counts
+
+
+def lattice_ideal_count(x: int, disc: int) -> int:
+    """Number of ideals of norm <= x in Q(i) (disc -4) or Q(sqrt(-3))
+    (disc -3), counted as lattice points.
+
+    Both fields have class number 1, so every ideal is principal, with one
+    generator per unit (4 and 6 of them); a generator a + b*w has norm
+    a*a + b*b, or a*a + a*b + b*b.  Each row a is counted with isqrt.
+    """
+    points = 0
+    if disc == -4:
+        r = isqrt(x)
+        for a in range(-r, r + 1):
+            points += 2 * isqrt(x - a * a) + 1
+        units = 4
+    elif disc == -3:
+        # a*a + a*b + b*b <= x  iff  (2*b + a)**2 <= 4*x - 3*a*a
+        r = isqrt(4 * x // 3)
+        for a in range(-r, r + 1):
+            t = isqrt(4 * x - 3 * a * a)
+            # t' = 2*b + a runs over [-t, t] with the parity of a
+            points += (t + 1) // 2 * 2 if a % 2 else t // 2 * 2 + 1
+        units = 6
+    else:
+        raise ValueError(f"no lattice oracle for discriminant {disc}")
+    points -= 1  # the origin generates no ideal
+    assert points % units == 0
+    return points // units
 
 
 def euler_criterion(a: int, p: int) -> int:

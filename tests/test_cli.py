@@ -235,7 +235,7 @@ def test_check_starts_no_thread(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv,sieves",
     [
-        (["count", "--instance", "q:-1", "--x", "100000", "--scan"], 1),
+        (["count", "--instance", "q:-1", "--x", "100000", "--scan"], 0),
         (["sxy", "--instance", "z", "--x", "10000", "--y", "50", "--scan"], 2),
         (["residue", "--instance", "z", "--k", "360", "--x", "100000", "--scan"], 1),
         (["residue", "--instance", "q:-1", "--k", "p2r^3*p5a", "--x", "100000", "--scan"], 1),
@@ -257,6 +257,40 @@ def test_scan_builds_each_table_once(capsys, monkeypatch, argv, sieves):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out
     assert len(calls) == sieves
+
+
+def test_count_builds_no_table(capsys, monkeypatch):
+    # the declared count reaches 1e7 without atoms or a counting table
+    made = []
+
+    def recorded(spec):
+        made.append(make_instance(spec))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "make_instance", recorded)
+    code, out, _ = run(capsys, "count", "--instance", "q:-1", "--x", "1e7", "--scan")
+    assert code == 0
+    assert out.splitlines()[-1] == "10000000,7854006,0.7854006"
+    (inst,) = made
+    assert len(inst.atoms) == 0 and not inst._tables
+
+
+def test_count_past_the_cap(capsys, monkeypatch):
+    from oracles import lattice_ideal_count
+
+    from ramsums import fields
+
+    code, out, _ = run(capsys, "count", "--instance", "q:-1", "--x", "1e9", "--allow-large")
+    assert code == 0
+    assert int(out.splitlines()[1].split(",")[1]) == lattice_ideal_count(10**9, -4)
+
+    def refuse(disc, n):
+        raise AssertionError("character table built past the limit")
+
+    monkeypatch.setattr(fields, "character_values", refuse)
+    code, out, err = run(capsys, "count", "--instance", "q:-1", "--x", "1e13", "--allow-large")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "limit" in err and err.count("\n") == 1
 
 
 def test_residue_zero_target(capsys):

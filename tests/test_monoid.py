@@ -276,15 +276,62 @@ def test_integer_counts_and_mertens(bound):
     assert fresh.mertens_up_to(bound) == sum(_integer_mobius(n) for n in range(1, bound + 1))
 
 
+def _instance(disc):
+    """A fresh instance: Z for disc 1, else the field of discriminant disc."""
+    from ramsums import quadratic_field, rational_integers
+
+    return rational_integers() if disc == 1 else quadratic_field(FIELD_D[disc])
+
+
+@given(st.sampled_from([1] + sorted(FIELD_D)), _near_squares())
+@settings(max_examples=60, deadline=None)
+def test_declared_count_matches_sieve_prefix(disc, bound):
+    # bounds on both sides of every sqrt(x) split of the declared count
+    inst = _instance(disc)
+    sieved = np.cumsum(_instance(disc).norm_counts(bound)[: bound + 1])
+    assert [inst.count_up_to(x) for x in range(bound + 1)] == sieved.tolist()
+    assert not inst._tables and not inst.norms
+
+
+@pytest.mark.parametrize("disc,x", [(-4, 10**8), (-4, 10**10), (-3, 10**8), (-3, 10**10)])
+def test_declared_count_matches_lattice_points(disc, x):
+    from oracles import lattice_ideal_count
+
+    inst = _instance(disc)
+    assert inst.count_up_to(x) == lattice_ideal_count(x, disc)
+    assert not inst._tables and not inst.norms
+
+
+def test_declared_count_ceiling():
+    from ramsums.monoid import MAX_HYPERBOLA
+
+    inst = _instance(-4)
+    assert inst.count_up_to(MAX_HYPERBOLA) == 785398162406
+    with pytest.raises(ValueError, match="limit"):
+        inst.count_up_to(MAX_HYPERBOLA + 1)
+    assert _instance(1).count_up_to(10**15) == 10**15  # floor(x) needs no ceiling
+
+
+def test_undeclared_instance_counts_through_prefix(qi):
+    from ramsums.monoid import MonoidInstance
+
+    bare = MonoidInstance("bare Q(i)", qi._source, qi._labels)
+    counts = [bare.count_up_to(x) for x in range(2001)]
+    assert "prefix" in bare._tables
+    assert counts == np.cumsum(gaussian_ideal_counts(2000)).tolist()
+    assert counts == [qi.count_up_to(x) for x in range(2001)]
+
+
 @pytest.mark.parametrize("disc", sorted(FIELD_D) + [-7, -8, 12, 17, -1003])
 def test_character_table_matches_jacobi(disc):
     sympy = pytest.importorskip("sympy")
     from ramsums import kronecker
-    from ramsums.fields import character_values, sieve_primes
+    from ramsums.fields import _character_table, character_values, sieve_primes
 
     primes = sieve_primes(3000)
     chi = character_values(disc, np.array(primes)).tolist()
     assert chi == [kronecker(disc, p) for p in primes]
+    assert _character_table(disc, 3000).tolist() == [kronecker(disc, r) for r in range(3000)]
     for p, c in zip(primes[1:], chi[1:]):  # odd primes
         assert c == sympy.jacobi_symbol(disc % p, p)
 
