@@ -92,8 +92,9 @@ def von_mangoldt_by_divisors(inst: MonoidInstance, e: Element) -> float:
     checked against each other.
     """
     total = 0.0
-    for d in inst.divisors(e):
-        mu = mobius(e.sub(d))
+    divs = inst.divisors(e)
+    for d, c in zip(divs, reversed(divs)):
+        mu = mobius(c)
         if mu:
             total += mu * math.log(inst.norm(d))
     return total
@@ -102,7 +103,8 @@ def von_mangoldt_by_divisors(inst: MonoidInstance, e: Element) -> float:
 def convolve(inst: MonoidInstance, f: ArithFn, g: ArithFn, e: Element):
     """(f * g)(e) = sum of f(D) g(e - D) over the divisors D of e."""
     _check_ring(f, g)
-    return sum(f(d) * g(e.sub(d)) for d in inst.divisors(e))
+    divs = inst.divisors(e)
+    return sum(f(d) * g(c) for d, c in zip(divs, reversed(divs)))
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,9 @@ def dirichlet_inverse(inst: MonoidInstance, f: ArithFn, root: Element) -> Downse
     values = {ZERO: inv0}
     for a in inst.divisors(root)[1:]:
         acc = None
-        for d in inst.divisors(a):
-            if d.is_zero:
-                continue
-            term = f(d) * values[a.sub(d)]
+        divs = inst.divisors(a)
+        for d, c in zip(divs[1:], reversed(divs[:-1])):
+            term = f(d) * values[c]
             acc = term if acc is None else acc + term
         values[a] = -inv0 * acc
     return DownsetTable(root, values, f.ring)
@@ -163,8 +164,9 @@ def jordan_totient(inst: MonoidInstance, e: Element, s=1):
     else:
         power = lambda n: float(n) ** s
     total = None
-    for d in inst.divisors(e):
-        mu = mobius(e.sub(d))
+    divs = inst.divisors(e)
+    for d, c in zip(divs, reversed(divs)):
+        mu = mobius(c)
         term = mu * power(inst.norm(d))
         total = term if total is None else total + term
     return total

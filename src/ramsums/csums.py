@@ -91,11 +91,11 @@ def jordan_like_local_form(inst: MonoidInstance, k: Element, m: Element) -> int 
     """Closed form mu(K - G) * phi(K) / phi(K - G) with G = gcd(M, K), where
     phi is the order-1 totient; defined whenever the division is exact and
     the denominator is nonzero, else None.  Agrees with the divisor sum."""
-    g = k.gcd(m)
-    den = jordan_totient(inst, k.sub(g), 1)
+    rest = k.sub(k.gcd(m))
+    den = jordan_totient(inst, rest, 1)
     if den == 0:
         return None
-    num = mobius(k.sub(g)) * jordan_totient(inst, k, 1)
+    num = mobius(rest) * jordan_totient(inst, k, 1)
     if num % den:
         return None
     return num // den
@@ -158,7 +158,8 @@ def first_argument_convolution(
     both sides evaluated exactly."""
     ring = _check_ring(f, g, h)
     unit = one(ring)
-    lhs = sum(common_divisor_sum(inst, f, g, d, k) * h(n.sub(d)) for d in inst.divisors(n))
+    divs = inst.divisors(n)
+    lhs = sum(common_divisor_sum(inst, f, g, d, k) * h(c) for d, c in zip(divs, reversed(divs)))
     rhs = sum(
         f(d) * g(k.sub(d)) * convolve(inst, unit, h, n.sub(d))
         for d in inst.divisors(n.gcd(k))
@@ -173,7 +174,8 @@ def second_argument_convolution(
 
         sum_{D <= N} S_{f,g}(M, D) h(N - D) = sum_{D <= N, M} f(D) (g * h)(N - D)."""
     _check_ring(f, g, h)
-    lhs = sum(common_divisor_sum(inst, f, g, m, d) * h(n.sub(d)) for d in inst.divisors(n))
+    divs = inst.divisors(n)
+    lhs = sum(common_divisor_sum(inst, f, g, m, d) * h(c) for d, c in zip(divs, reversed(divs)))
     rhs = sum(f(d) * convolve(inst, g, h, n.sub(d)) for d in inst.divisors(n.gcd(m)))
     return IdentityReport(lhs, rhs, lhs == rhs, context=f"m={m.exps} n={n.exps}")
 
@@ -233,8 +235,9 @@ def residue_series(inst: MonoidInstance, k: Element, x, mode: str = "grouped") -
         return 0.0
     if mode == "grouped":
         total = 0.0
-        for d in inst.divisors(k):
-            mu = mobius(k.sub(d))
+        divs = inst.divisors(k)
+        for d, c in zip(divs, reversed(divs)):
+            mu = mobius(c)
             if mu:
                 total += mu * inst.harmonic_up_to(b // inst.norm(d))
         return total
@@ -294,8 +297,9 @@ def fixed_k_partial(inst: MonoidInstance, k: Element, x) -> int:
     if b < 1:
         return 0
     total = 0
-    for d in inst.divisors(k):
-        mu = mobius(k.sub(d))
+    divs = inst.divisors(k)
+    for d, c in zip(divs, reversed(divs)):
+        mu = mobius(c)
         if mu:
             nd = inst.norm(d)
             total += nd * mu * inst.count_up_to(b // nd)

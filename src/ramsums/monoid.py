@@ -202,9 +202,9 @@ class MonoidInstance:
 
     After :meth:`extend`, every atom with norm <= the bound is present exactly
     once, with ids assigned in (norm, label) order; ids are therefore stable
-    under further extension.  The table keeps norms and tags in numpy arrays
-    plus the norms as a list of Python ints for the exact evaluators;
-    :class:`Atom` objects and labels are built on demand.
+    under further extension.  The table keeps the norms as a list of Python
+    ints and the tags in a numpy array; :class:`Atom` objects and labels are
+    built on demand.
 
     ``counter(b)``, when given, is an exact count of the elements of norm
     <= b for every integer b >= 1; :meth:`count_up_to` calls it in place of
@@ -235,7 +235,6 @@ class MonoidInstance:
         self.descriptor = None
         self._source = atom_source
         self._labels = labels
-        self._norm_arr = np.zeros(0, dtype=np.int64)
         self._tags = np.zeros(0, dtype=np.int8)
         self._norms: list[int] = []
         self._hw = 1  # every atom with norm <= _hw is materialized
@@ -282,8 +281,7 @@ class MonoidInstance:
                 if dup.size:
                     label = self._labels.format(int(norms[dup[0]]), int(tags[dup[0]]))
                     raise ValueError(f"atom source produced duplicate label {label!r}")
-            # arrays first: readers take the list's length as the table's
-            self._norm_arr = np.concatenate((self._norm_arr, norms))
+            # tags first: readers take the list's length as the table's
             self._tags = np.concatenate((self._tags, tags))
             self._norms.extend(norms.tolist())
             self._hw = bound
@@ -337,20 +335,24 @@ class MonoidInstance:
     def divisors(self, e: Element) -> list[Element]:
         """All elements below ``e``, sorted by (norm, exponent vector).
 
-        The list has exactly prod(exponent_i + 1) entries.
+        The list has exactly prod(exponent_i + 1) entries; norm ties are
+        broken by the mixed-radix index of the exponent vector over e's atoms,
+        first atom most significant.  D -> e - D reverses both keys, so the
+        list is complement-symmetric: e - divs[i] is divs[-1 - i].
         """
-        items = [(1, ())]
+        items = [(1, 0, ())]
         for aid, emax in e.exps:
             q = self._norms[aid]
             grown = []
-            for norm0, path in items:
+            for norm0, r0, path in items:
                 pw = 1
+                r0 *= emax + 1
                 for d in range(emax + 1):
-                    grown.append((norm0 * pw, path + ((aid, d),) if d else path))
+                    grown.append((norm0 * pw, r0 + d, path + ((aid, d),) if d else path))
                     pw *= q
             items = grown
         items.sort()
-        return [Element(path) for _, path in items]
+        return [Element(path) for _, _, path in items]
 
     # -- enumeration and counting ---------------------------------------
 
@@ -460,12 +462,12 @@ class MonoidInstance:
         vectorized pass per cofactor m.
         """
         self.extend(bound)
-        norms = self._norm_arr
-        n_small = int(np.searchsorted(norms, isqrt(bound), side="right"))
-        n_atoms = int(np.searchsorted(norms, bound, side="right"))
+        norms = self._norms
+        n_small = bisect_right(norms, isqrt(bound))
+        n_atoms = bisect_right(norms, bound)
         cnt = np.zeros(bound + 1, dtype=np.int32)
         cnt[1] = 1
-        for q in self._norms[:n_small]:
+        for q in norms[:n_small]:
             if squarefree:
                 cnt[q::q] -= cnt[1 : bound // q + 1].copy()
                 continue
@@ -478,7 +480,8 @@ class MonoidInstance:
         if n_atoms == n_small:
             return cnt
         # split primes give two atoms of one norm
-        large, mult = np.unique(norms[n_small:n_atoms], return_counts=True)
+        large = np.array(norms[n_small:n_atoms], dtype=np.int64)
+        large, mult = np.unique(large, return_counts=True)
         mult = mult.astype(np.int32) * (-1 if squarefree else 1)
         # cofactors m < sqrt(bound) hold their final values; writes land above
         for m in range(1, bound // int(large[0]) + 1):

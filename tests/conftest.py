@@ -26,3 +26,8 @@ def q23():
 @pytest.fixture(scope="session")
 def q2():
     return _prepared(quadratic_field(2))
+
+
+@pytest.fixture(scope="session")
+def q5():
+    return _prepared(quadratic_field(5))

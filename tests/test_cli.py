@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -355,6 +358,28 @@ def test_repeat_runs_are_byte_identical(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first
+
+
+def test_traced_benchmark_mode_runs(tmp_path, capsys):
+    """perfbench/traced.py rebinds ramsums names by attribute; a renamed or
+    deleted one breaks the benchmark's traced mode."""
+    root = Path(__file__).resolve().parents[1]
+    argv = ["check", "--suite", "all", "--bound", "30", "--instance", "q:-23", "--seed", "3"]
+    stats = tmp_path / "s.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    script = root / "perfbench" / "traced.py"
+    traced = subprocess.run(
+        [sys.executable, str(script), str(stats), *argv],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (traced.returncode, traced.stdout) == (0, out) and code == 0
+    assert json.loads(stats.read_text())["monoid.divisors.calls"] > 0
 
 
 def test_out_file(tmp_path, capsys):

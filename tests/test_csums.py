@@ -13,8 +13,10 @@ from ramsums import (
     ArithFn,
     Element,
     common_divisor_sum,
+    convolve,
     delta,
     density_fit,
+    dirichlet_inverse,
     divisibility_identity,
     divisor_sum_identity,
     double_sum,
@@ -24,6 +26,7 @@ from ramsums import (
     fixed_k_partial,
     harmonic_partial,
     jordan_like_local_form,
+    jordan_totient,
     mobius,
     mobius_fn,
     mobius_pair_profile,
@@ -33,6 +36,7 @@ from ramsums import (
     residue_series,
     residue_target,
     second_argument_convolution,
+    von_mangoldt_by_divisors,
     zeta_partial,
 )
 
@@ -327,6 +331,32 @@ def test_fixed_k_partial_quadratic_brute(qi):
         x = rng.randint(1, 800)
         brute = sum(ramanujan_sum(qi, k, Element(path)) for _, path in qi.scan_up_to(x))
         assert fixed_k_partial(qi, k, x) == brute
+
+
+def test_divisor_loops_never_subtract(zint, qi, monkeypatch):
+    """The divisor sums read each complement e - D from the reversed divisor
+    list, so none of them calls Element.sub."""
+    aid = {label: qi.atom_by_label(label).id for label in ("p2r", "p5a", "p5b", "p13a")}
+    split = Element(((aid["p2r"], 1), (aid["p5a"], 2), (aid["p5b"], 1), (aid["p13a"], 1)))
+    cases = [(zint, z_el(zint, 360)), (qi, split)]
+
+    def evaluate(inst, e):
+        return [
+            convolve(inst, norm_fn(inst), mobius_fn(), e),
+            dirichlet_inverse(inst, norm_fn(inst), e).values,
+            *(jordan_totient(inst, e, s) for s in (1, -1, 0.5)),
+            von_mangoldt_by_divisors(inst, e),
+            fixed_k_partial(inst, e, 1000),
+            residue_series(inst, e, 1000, mode="grouped"),
+        ]
+
+    expected = [evaluate(inst, e) for inst, e in cases]
+
+    def refuse(self, other):
+        raise AssertionError("Element.sub called")
+
+    monkeypatch.setattr(Element, "sub", refuse)
+    assert [evaluate(inst, e) for inst, e in cases] == expected
 
 
 def test_residue_series_desk_scale(zint):

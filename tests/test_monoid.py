@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -100,6 +101,31 @@ def test_divisor_count_and_order(zint, e):
     assert all(d.leq(e) for d in divs)
     norms = [zint.norm(d) for d in divs]
     assert norms == sorted(norms)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_divisors_are_complement_symmetric(zint, qi, q23, q5, data):
+    inst = data.draw(st.sampled_from([zint, qi, q23, q5]))
+    pool = list(range(8))
+    ids = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
+    pairs = [(a, b) for a, b in zip(pool, pool[1:]) if inst.norms[a] == inst.norms[b]]
+    if pairs:  # both ideals above one split prime: the norm ties
+        split = data.draw(st.sampled_from(pairs))
+        ids = data.draw(st.permutations(list(dict.fromkeys(ids + list(split)))))
+    e = Element(tuple((aid, data.draw(st.integers(1, 3))) for aid in ids))
+    divs = inst.divisors(e)
+    assert len(divs) == math.prod(exp + 1 for _, exp in e.exps)
+    for i, d in enumerate(divs):
+        assert divs[-1 - i] == e.sub(d)
+    norms = [inst.norm(d) for d in divs]
+    assert norms == sorted(norms)
+    if inst is zint:
+        every = [
+            Element(tuple((aid, x) for (aid, _), x in zip(e.exps, vec) if x))
+            for vec in itertools.product(*(range(exp + 1) for _, exp in e.exps))
+        ]
+        assert divs == sorted(every, key=inst.norm)
 
 
 # -- enumeration and counting ------------------------------------------
