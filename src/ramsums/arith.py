@@ -151,8 +151,10 @@ def dirichlet_inverse(inst: MonoidInstance, f: ArithFn, root: Element) -> Downse
 def jordan_totient(inst: MonoidInstance, e: Element, s=1):
     """Totient of order s: sum of mu(e - D) * norm(D)**s over D <= e.
 
-    Exact (integer or rational) for integer s; s = 1 is the Euler totient
-    analogue and s = 0 recovers the convolution identity delta.
+    The sum is multiplicative, so it is evaluated as the Euler product over
+    the atoms P**k of e of norm(P)**(k s) - norm(P)**((k - 1) s); no divisor
+    is walked.  Exact (integer or rational) for integer s; s = 1 is the
+    Euler totient analogue and s = 0 recovers the convolution identity delta.
     """
     if isinstance(s, int):
         if s >= 0:
@@ -163,12 +165,10 @@ def jordan_totient(inst: MonoidInstance, e: Element, s=1):
         power = lambda n: n**s
     else:
         power = lambda n: float(n) ** s
-    total = None
-    divs = inst.divisors(e)
-    for d, c in zip(divs, reversed(divs)):
-        mu = mobius(c)
-        term = mu * power(inst.norm(d))
-        total = term if total is None else total + term
+    total = power(1)
+    for aid, k in e.exps:
+        q = inst.norms[aid]
+        total *= power(q**k) - power(q ** (k - 1))
     return total
 
 

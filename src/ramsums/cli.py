@@ -10,6 +10,7 @@ byte-identical across runs and worker counts for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -235,11 +236,7 @@ def cmd_invariants(inst, args) -> int:
         raise CLIError(f"{inst.name} carries no field invariants; use a q:<d> instance")
     est, h_rounded = fields.class_number_from_counting(inst, args.x)
     h_used = inv.h if inv.h is not None else h_rounded
-    c_f = fields.residue_constant(
-        fields.FieldInvariants(
-            inv.r1, inv.r2, inv.regulator, h_used, inv.roots_of_unity, inv.abs_disc
-        )
-    )
+    c_f = fields.residue_constant(dataclasses.replace(inv, h=h_used))
     payload = {
         "instance": inst.name,
         "d": inst.descriptor.d,

@@ -87,28 +87,28 @@ def common_divisor_sum(inst: MonoidInstance, f: ArithFn, g: ArithFn, m: Element,
     return sum(f(d) * g(k.sub(d)) for d in inst.divisors(m.gcd(k)))
 
 
-def jordan_like_local_form(inst: MonoidInstance, k: Element, m: Element) -> int | None:
+def jordan_like_local_form(inst: MonoidInstance, k: Element, m: Element) -> int:
     """Closed form mu(K - G) * phi(K) / phi(K - G) with G = gcd(M, K), where
-    phi is the order-1 totient; defined whenever the division is exact and
-    the denominator is nonzero, else None.  Agrees with the divisor sum."""
+    phi is the order-1 totient.  Agrees with the divisor sum.
+
+    Total and exact: every atom norm is at least 2, so phi(K - G) >= 1, and
+    atom by atom the ratio is phi(P**k) where G takes the whole power P**k
+    of K, else norm(P)**g with g the exponent of P in G."""
     rest = k.sub(k.gcd(m))
-    den = jordan_totient(inst, rest, 1)
-    if den == 0:
-        return None
-    num = mobius(rest) * jordan_totient(inst, k, 1)
-    if num % den:
-        return None
-    return num // den
+    return mobius(rest) * jordan_totient(inst, k, 1) // jordan_totient(inst, rest, 1)
 
 
 def divisor_sum_identity(inst: MonoidInstance, k: Element) -> IdentityReport:
     """Sum of csum(K, D) over the divisors D of K against the closed form
-    norm(K) * prod over atoms p of K of (1 - 2 / norm(p)), compared exactly."""
+    norm(K) * prod over atoms P of K of (1 - 2 / norm(P)), compared exactly
+    as the integer prod of norm(P)**(e - 1) * (norm(P) - 2) over the powers
+    P**e in K."""
     lhs = sum(ramanujan_sum(inst, k, d) for d in inst.divisors(k))
-    rhs = Fraction(inst.norm(k))
-    for aid, _ in k.exps:
-        rhs *= 1 - Fraction(2, inst.norms[aid])
-    return IdentityReport(lhs, rhs, Fraction(lhs) == rhs, context=f"k={k.exps}")
+    rhs = 1
+    for aid, e in k.exps:
+        q = inst.norms[aid]
+        rhs *= q ** (e - 1) * (q - 2)
+    return IdentityReport(lhs, rhs, lhs == rhs, context=f"k={k.exps}")
 
 
 class DivisorDownset:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ramsums import (
     FLOAT,
     INT,
+    RATIONAL,
     ZERO,
     ArithFn,
     Element,
@@ -181,10 +182,19 @@ def test_jordan_totient_float_and_complex(zint):
     assert abs(zc.imag) < 1e-12
 
 
-def test_jordan_totient_is_norm_convolved_mobius(zint):
-    mu, nf = mobius_fn(), norm_fn(zint)
-    for e in zint.enumerate_up_to(10**4):
-        assert jordan_totient(zint, e, 1) == convolve(zint, nf, mu, e)
+def test_jordan_totient_is_norm_convolved_mobius(zint, qi, q23, q5):
+    """The Euler product against its definition, the convolution N**s * mu."""
+    int_mu = mobius_fn()
+    rat_mu = ArithFn(lambda e: Fraction(mobius(e)), RATIONAL)
+    for inst, top in ((zint, 10**4), (qi, 2000), (q23, 2000), (q5, 2000)):
+        elems = list(inst.enumerate_up_to(top))
+        for s in (0, 1, 2, -1):
+            if s >= 0:
+                mu, power = int_mu, ArithFn(lambda e: inst.norm(e) ** s, INT)
+            else:
+                mu, power = rat_mu, ArithFn(lambda e: Fraction(1, inst.norm(e) ** -s), RATIONAL)
+            for e in elems:
+                assert jordan_totient(inst, e, s) == convolve(inst, power, mu, e)
 
 
 def test_abel_sum_trivial(zint):

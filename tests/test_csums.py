@@ -12,6 +12,7 @@ from ramsums import (
     ZERO,
     ArithFn,
     Element,
+    MonoidInstance,
     common_divisor_sum,
     convolve,
     delta,
@@ -156,16 +157,16 @@ def test_csum_multiplicative_on_disjoint_supports(zint):
         checked += 1
 
 
-def test_local_closed_form(zint, qi):
+def test_local_closed_form(zint, qi, q23, q5):
     rng = random.Random(14)
-    for inst, top in ((zint, 2000), (qi, 500)):
+    for inst, top in ((zint, 2000), (qi, 500), (q23, 500), (q5, 500)):
         elems = list(inst.enumerate_up_to(top))
         for _ in range(300):
             k = elems[rng.randrange(len(elems))]
             m = elems[rng.randrange(len(elems))]
             local = jordan_like_local_form(inst, k, m)
-            if local is not None:
-                assert local == csum_brute(inst, k, m)
+            assert type(local) is int
+            assert local == csum_brute(inst, k, m)
 
 
 # -- bilinear sums -------------------------------------------------------
@@ -357,6 +358,32 @@ def test_divisor_loops_never_subtract(zint, qi, monkeypatch):
 
     monkeypatch.setattr(Element, "sub", refuse)
     assert [evaluate(inst, e) for inst, e in cases] == expected
+
+
+def test_closed_forms_walk_no_divisors(zint, qi, monkeypatch):
+    """The totient and the local form are Euler products over the atoms of
+    their argument, so neither calls MonoidInstance.divisors."""
+    aid = {label: qi.atom_by_label(label).id for label in ("p2r", "p5a", "p5b", "p13a")}
+    split = Element(((aid["p2r"], 1), (aid["p5a"], 2), (aid["p5b"], 1), (aid["p13a"], 1)))
+    p5a_p13a = Element(((aid["p5a"], 1), (aid["p13a"], 3)))
+    cases = [
+        (zint, z_el(zint, 360), [z_el(zint, m) for m in (1, 2, 12, 90, 360, 7 * 40)]),
+        (qi, split, [ZERO, split, p5a_p13a, split.add(p5a_p13a)]),
+    ]
+
+    def evaluate(inst, k, ms):
+        return [
+            *(jordan_totient(inst, k, s) for s in (0, 1, 2, -1, 0.5, 1 + 0j)),
+            *(jordan_like_local_form(inst, k, m) for m in ms),
+        ]
+
+    expected = [evaluate(*case) for case in cases]
+
+    def refuse(self, e):
+        raise AssertionError("MonoidInstance.divisors called")
+
+    monkeypatch.setattr(MonoidInstance, "divisors", refuse)
+    assert [evaluate(*case) for case in cases] == expected
 
 
 def test_residue_series_desk_scale(zint):
