@@ -38,6 +38,7 @@ from .csums import (
     divisibility_identity,
     divisor_sum_identity,
     double_sum,
+    double_sums,
     first_argument_convolution,
     fit_bound_constant,
     fixed_k_partial,
@@ -45,6 +46,7 @@ from .csums import (
     jordan_like_local_form,
     mobius_pair_profile,
     ramanujan_sum,
+    residue_scan,
     residue_series,
     residue_target,
     second_argument_convolution,

@@ -210,7 +210,7 @@ def cmd_residue(inst, args) -> int:
     mode = "direct" if args.direct else "grouped"
     target = csums.residue_target(inst, k)
     points = _scan_points(args.x) if args.scan else [args.x]
-    ests = _largest_first(lambda x: csums.residue_series(inst, k, x, mode=mode), points)
+    ests = csums.residue_scan(inst, k, points, mode=mode)
     rows = []
     for x, est in zip(points, ests):
         err = abs(est - target) if target is not None else None
@@ -224,7 +224,7 @@ def cmd_sxy(inst, args) -> int:
         grid = [(x, y) for x in _scan_points(args.x) for y in (2, 5, 10, 20, 50) if y <= args.y]
     else:
         grid = [(args.x, args.y)]
-    reps = _largest_first(lambda xy: csums.double_sum(inst, *xy), grid)
+    reps = csums.double_sums(inst, grid)
     rows = [(x, y, r.value, r.residual, r.bound_ref) for (x, y), r in zip(grid, reps)]
     emit_rows(["x", "y", "s", "s_minus_cx", "bound_ref"], rows, args)
     return 0

@@ -17,9 +17,10 @@ and floats only enter where logarithms or densities do.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -198,26 +199,22 @@ def harmonic_partial(inst: MonoidInstance, x, exact: bool = False):
     return total
 
 
-def _scan_rows(inst: MonoidInstance, ks: list[Element], x):
-    """Yield (norm(M), sum of csum(K, M) over K in ``ks``) for every M with
-    norm(M) <= x, in :meth:`MonoidInstance.scan_up_to` order.
+def _scan_heads(inst: MonoidInstance, bounds: list[int], cuts: list[int]):
+    """Yield (norm(M), M's pairs, bucket i, head of M) for every M with
+    norm(M) <= bounds[-1], in :meth:`MonoidInstance.scan_up_to` order.
 
-    The merge walk in :func:`ramanujan_sum` stops at K's last atom, so it
-    reads only the head of M: its pairs with id below ``cut``, one past the
-    largest atom id in ``ks`` (a prefix, as the pairs are id-sorted).  Each
-    row is evaluated once per distinct head and memoized for the scan.
+    ``bounds`` is increasing, and M falls in bucket i, the least i with
+    norm(M) <= bounds[i].  The merge walk in :func:`ramanujan_sum` stops at
+    K's last atom, so csum(K, M) reads only the head of M: its pairs with
+    atom id below ``cuts[i]``, one past the largest atom id of any K the
+    bucket is evaluated against (a prefix, as the pairs are id-sorted).
     """
-    # As a 1-tuple, cut sorts after every pair (id, e) with id < cut[0] and
-    # before the rest, so bisect finds the end of the head.
-    cut = (1 + max((k.exps[-1][0] for k in ks if k.exps), default=-1),)
-    rows = {}
-    for norm, path in inst.scan_up_to(x):
-        head = path[: bisect_left(path, cut)]
-        row = rows.get(head)
-        if row is None:
-            m = Element(head)
-            row = rows[head] = sum(ramanujan_sum(inst, k, m) for k in ks)
-        yield norm, row
+    # As a 1-tuple, a cut sorts after every pair (id, e) with id < cut[0]
+    # and before the rest, so bisect finds the end of the head.
+    cuts = [(c,) for c in cuts]
+    for norm, path in inst.scan_up_to(bounds[-1]):
+        i = bisect_left(bounds, norm)
+        yield norm, path, i, path[: bisect_left(path, cuts[i])]
 
 
 def residue_series(inst: MonoidInstance, k: Element, x, mode: str = "grouped") -> float:
@@ -228,29 +225,49 @@ def residue_series(inst: MonoidInstance, k: Element, x, mode: str = "grouped") -
     which is the same value at a fraction of the cost; the direct mode sums
     term by term in nondecreasing norm.
     """
+    return residue_scan(inst, k, [x], mode)[0]
+
+
+def residue_scan(inst: MonoidInstance, k: Element, points, mode: str = "grouped") -> list[float]:
+    """[residue_series(inst, k, x, mode) for x in points], with one scan.
+
+    The direct mode scans to the largest point once, memoizing csum(K, M)
+    per head of M (:func:`_scan_heads`), and reads every point off one
+    running sum over the norms, so each value is added in the same order as
+    in a scan to that point alone.  The grouped mode evaluates the largest
+    point first, which sizes the harmonic table for all the rest.
+    """
     if k.is_zero:
         raise ValueError("k must be nonzero")
-    b = _floor(x)
-    if b < 1:
-        return 0.0
+    if mode not in ("grouped", "direct"):
+        raise ValueError(f"unknown mode {mode!r}")
+    bs = [_floor(x) for x in points]
+    ends = sorted({b for b in bs if b >= 1}, reverse=True)
+    if not ends:
+        return [0.0] * len(bs)
+    totals = dict.fromkeys(ends, 0.0)
     if mode == "grouped":
-        total = 0.0
         divs = inst.divisors(k)
-        for d, c in zip(divs, reversed(divs)):
-            mu = mobius(c)
-            if mu:
-                total += mu * inst.harmonic_up_to(b // inst.norm(d))
-        return total
-    if mode == "direct":
-        per_norm = [0] * (b + 1)
-        for norm, row in _scan_rows(inst, [k], b):
+        for b in ends:
+            for d, c in zip(divs, reversed(divs)):
+                mu = mobius(c)
+                if mu:
+                    totals[b] += mu * inst.harmonic_up_to(b // inst.norm(d))
+    else:
+        per_norm = [0] * (ends[0] + 1)
+        rows = {}
+        for norm, _, _, head in _scan_heads(inst, [ends[0]], [1 + k.exps[-1][0]]):
+            row = rows.get(head)
+            if row is None:
+                row = rows[head] = ramanujan_sum(inst, k, Element(head))
             per_norm[norm] += row
-        total = 0.0
-        for n in range(1, b + 1):
-            if per_norm[n]:
-                total += per_norm[n] / n
-        return total
-    raise ValueError(f"unknown mode {mode!r}")
+        total, start = 0.0, 1
+        for b in reversed(ends):
+            for n in range(start, b + 1):
+                if per_norm[n]:
+                    total += per_norm[n] / n
+            totals[b], start = total, b + 1
+    return [totals.get(b, 0.0) for b in bs]
 
 
 def residue_target(inst: MonoidInstance, k: Element) -> float | None:
@@ -307,44 +324,114 @@ def fixed_k_partial(inst: MonoidInstance, k: Element, x) -> int:
 
 
 def double_sum(inst: MonoidInstance, x, y, direct_budget: int = 10**6) -> DoubleSumReport:
-    """Exact S(x, y) = sum of csum(K, M) over norm(M) <= x, norm(K) <= y.
+    """Exact S(x, y) = sum of csum(K, M) over norm(M) <= x, norm(K) <= y:
+    :func:`double_sums` at the one grid point (x, y)."""
+    return double_sums(inst, [(x, y)], direct_budget)[0]
 
-    Always evaluated by the regrouping over pairs (D, A) with
+
+def double_sums(inst: MonoidInstance, grid, direct_budget: int = 10**6) -> list[DoubleSumReport]:
+    """Exact S(x, y) for every (x, y) of ``grid``, one report per point in
+    grid order.
+
+    S(x, y) is always evaluated by the regrouping over pairs (D, A) with
     norm(D + A) <= y, which needs only counting queries:
 
         S(x, y) = sum_{n <= y} cnt[n] * n * count_up_to(x/n) * mertens(y/n).
 
-    When x * y is within ``direct_budget`` the plain double sum is computed
-    as well and must agree exactly; a mismatch raises.  The direct sum runs
-    over every M with norm(M) <= x and reads its row, the sum of csum(K, M)
-    over all K, from a memo keyed by the head of M (:func:`_scan_rows`).
-    The tail of M is never read: each K is built from atoms of norm <= y,
-    and csum(K, M) depends on M only through those atoms.
+    At every point with x * y within ``direct_budget`` the plain double sum
+    is computed as well and must agree exactly; a mismatch raises for the
+    last such point in grid order.  All those direct sums come from one
+    scan that enumerates each M once, up to the largest of their x: csum(K, M)
+    with norm(K) <= y reads M only on the atoms of norm <= y, so M's part on
+    the atoms up to the largest y it is summed against serves every smaller
+    y too (:func:`_direct_sums`).  The regrouped values are evaluated from
+    the last point back, so the first one sizes the counting tables for all
+    the rest.
     """
-    xb, yb = _floor(x), _floor(y)
-    value = 0
-    if xb >= 1 and yb >= 1:
-        cnt = inst.norm_counts(yb)
-        for n in range(1, yb + 1):
-            c_n = int(cnt[n])
-            if c_n:
-                value += c_n * n * inst.count_up_to(xb // n) * inst.mertens_up_to(yb // n)
-    direct = None
-    if xb >= 0 and yb >= 0 and xb * yb <= direct_budget:
-        ks = list(inst.enumerate_up_to(yb))
-        direct = sum(row for _, row in _scan_rows(inst, ks, xb))
-        if direct != value:
+    pts = [(x, y, _floor(x), _floor(y)) for x, y in grid]
+    direct = _direct_sums(
+        inst, {(xb, yb) for _, _, xb, yb in pts if xb >= 0 and yb >= 0 and xb * yb <= direct_budget}
+    )
+    c, alpha = inst.density.c, inst.density.alpha
+    reports = []
+    for x, y, xb, yb in reversed(pts):
+        value = 0
+        if xb >= 1 and yb >= 1:
+            cnt = inst.norm_counts(yb)
+            for n in range(1, yb + 1):
+                c_n = int(cnt[n])
+                if c_n:
+                    value += c_n * n * inst.count_up_to(xb // n) * inst.mertens_up_to(yb // n)
+        d = direct.get((xb, yb))
+        if d is not None and d != value:
             raise ArithmeticError(
                 f"double-sum cross-check failed at x={x}, y={y}: "
-                f"direct {direct} != regrouped {value}"
+                f"direct {d} != regrouped {value}"
             )
-    c, alpha = inst.density.c, inst.density.alpha
-    main = c * float(x) if c is not None else None
-    residual = value - main if main is not None else None
-    bound_ref = None
-    if alpha is not None and xb >= 1 and yb >= 1:
-        bound_ref = float(x) ** alpha * float(y) ** (2.0 - alpha)
-    return DoubleSumReport(float(x), float(y), value, direct, c, main, residual, bound_ref)
+        main = c * float(x) if c is not None else None
+        residual = value - main if main is not None else None
+        bound_ref = None
+        if alpha is not None and xb >= 1 and yb >= 1:
+            bound_ref = float(x) ** alpha * float(y) ** (2.0 - alpha)
+        reports.append(DoubleSumReport(float(x), float(y), value, d, c, main, residual, bound_ref))
+    return reports[::-1]
+
+
+def _direct_sums(inst: MonoidInstance, points: set[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """The plain double sum at every integer point (x, y) >= 0 of ``points``,
+    from one scan of the elements up to the largest x (or y).
+
+    The distinct x are sorted into bucket bounds x_0 < x_1 < ..., and M falls
+    in the bucket i of the least x_i >= norm(M); it counts towards every
+    point with x >= x_i.  Those points ask for K up to Y_i, the largest of
+    their y, so the bucket cuts the head of M at the atoms of norm <= Y_i
+    (:func:`_scan_heads`), which serves every smaller y as well.  The scan
+    counts the multiplicity of each (bucket, head); each distinct head then
+    gets one row of csum over the norm-sorted K, kept as prefix sums, so any
+    y reads one entry.  Larger x_i only ever have a smaller Y_i, so walking
+    the buckets in order computes each head's row first at its longest.
+    """
+    if not points:
+        return {}
+    xs = sorted({x for x, _ in points})
+    ys = [sorted({y for px, y in points if px >= x}) for x in xs]
+    ymax = ys[0][-1]
+    inst.extend(ymax)
+    # one past the last atom of norm <= Y_i: every K of norm <= Y_i has its
+    # atoms below it, and every such atom is itself a K
+    bounds, cuts = xs, [bisect_right(inst.norms, yi[-1]) for yi in ys]
+    if ymax > xs[-1]:  # the K reach past every M: one more bucket, read as K only
+        bounds, cuts = xs + [ymax], cuts + [0]
+    counts = [{} for _ in bounds]
+    kpaths = []
+    for norm, path, i, head in _scan_heads(inst, bounds, cuts):
+        if norm <= ymax:
+            kpaths.append((norm, path))
+        bucket = counts[i]
+        bucket[head] = bucket.get(head, 0) + 1
+    kpaths.sort()
+    knorms = [n for n, _ in kpaths]
+    ks = [Element(path) for _, path in kpaths]
+    rows = {}
+    running = dict.fromkeys(ys[0], 0)  # sum over the buckets so far, per y
+    direct = {}
+    for i, x in enumerate(xs):
+        at = [bisect_right(knorms, y) for y in ys[i]]
+        part = [0] * len(at)
+        for head, mult in counts[i].items():
+            row = rows.get(head)
+            if row is None:
+                m = Element(head)
+                row = rows[head] = list(
+                    accumulate((ramanujan_sum(inst, k, m) for k in ks[: at[-1]]), initial=0)
+                )
+            for j, pos in enumerate(at):
+                part[j] += mult * row[pos]
+        for y, v in zip(ys[i], part):
+            running[y] += v
+            if (x, y) in points:
+                direct[x, y] = running[y]
+    return direct
 
 
 def mobius_pair_profile(inst: MonoidInstance, ymax) -> list[int]:

@@ -190,6 +190,49 @@ def test_sxy_cross_check_catches_a_fault(zint, monkeypatch, capsys):
     assert out.err.count("\n") == 1
 
 
+def test_sxy_reports_the_last_failing_grid_point(zint, monkeypatch, capsys):
+    # csum(2, 2) is off at every point with x >= 2 and y >= 2; the message
+    # names the last of them in grid order
+    two = factor_integer(zint, 2)
+    _sabotage_csum(monkeypatch, two, two)
+    code = cli.main(["sxy", "--instance", "z", "--x", "1000", "--y", "5", "--scan"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err == (
+        "internal error: ArithmeticError: double-sum cross-check failed at "
+        "x=1000, y=5: direct 1133 != regrouped 999\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,largest",
+    [
+        (["sxy", "--instance", "z", "--x", "1e6", "--y", "50", "--scan"], 10**5),
+        (["residue", "--instance", "q:-1", "--k", "p2r^2*p5a", "--x", "1e4", "--direct", "--scan"], 10**4),
+    ],
+    ids=["sxy", "residue"],
+)
+def test_scan_command_enumerates_once(monkeypatch, capsys, argv, largest):
+    # the largest direct x of sxy's grid is 1e5 (1e5 * 10 is the budget);
+    # the residue rows all come from the scan to the last point
+    from ramsums.monoid import MonoidInstance
+
+    scans = []
+    scan = MonoidInstance.scan_up_to
+
+    def counted(self, x):
+        scans.append([self, x, 0])
+        for item in scan(self, x):
+            scans[-1][2] += 1
+            yield item
+
+    monkeypatch.setattr(MonoidInstance, "scan_up_to", counted)
+    assert cli.main(argv) == 0 and capsys.readouterr().out
+    assert len(scans) == 1
+    inst, x, elements = scans[0]
+    assert x == largest and elements == inst.count_up_to(largest)
+
+
 def test_th2_lists_failures_n_major(zint, monkeypatch):
     # csum(D, M) enters the left side at (N, M) for every N that D divides:
     # (13, 7) reaches rows 13 and 26; (23, 29) and (29, 23) one row each.

@@ -210,10 +210,10 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     # an unexpected exception is a bug, not bad input or a suite failure
     from ramsums import csums
 
-    def broken(inst, x, y):
+    def broken(inst, grid):
         raise ArithmeticError("cross-check failed")
 
-    monkeypatch.setattr(csums, "double_sum", broken)
+    monkeypatch.setattr(csums, "double_sums", broken)
     code, out, err = run(capsys, "sxy", "--instance", "z", "--x", "100", "--y", "5")
     assert (code, out) == (3, "")
     assert err == "internal error: ArithmeticError: cross-check failed\n"

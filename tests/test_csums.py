@@ -21,6 +21,7 @@ from ramsums import (
     divisibility_identity,
     divisor_sum_identity,
     double_sum,
+    double_sums,
     factor_integer,
     first_argument_convolution,
     fit_bound_constant,
@@ -34,6 +35,7 @@ from ramsums import (
     norm_fn,
     one,
     ramanujan_sum,
+    residue_scan,
     residue_series,
     residue_target,
     second_argument_convolution,
@@ -538,6 +540,47 @@ def test_double_sum_skips_direct_when_large(zint):
     rep = double_sum(zint, 10**4, 200, direct_budget=10**5)
     assert rep.direct is None
     assert rep.value == double_sum(zint, 10**4, 200, direct_budget=10**7).direct
+
+
+@pytest.mark.parametrize("name", ["zint", "qi", "q23", "q5"])
+def test_double_sums_match_one_point_at_a_time(request, name):
+    # float x, a repeated point, x below y, and points on both sides of the
+    # budget of 2000, out of order
+    inst = request.getfixturevalue(name)
+    grid = [(300, 7), (10, 2), (99.5, 5), (10, 50), (99.5, 5), (3, 50), (1000, 3),
+            (2000, 1), (0.5, 4), (1000, 2), (300, 6.9)]
+    reports = double_sums(inst, grid, direct_budget=2000)
+    assert reports == [double_sum(inst, x, y, direct_budget=2000) for x, y in grid]
+    assert [r.direct is not None for r in reports] == [
+        int(x) * int(y) <= 2000 for x, y in grid
+    ]
+
+
+def test_double_sums_directs_match_brute_force(zint, qi, q23, q5):
+    xs, ys = (1, 9, 25, 60), (1, 7, 16, 30)
+    for inst in (zint, qi, q23, q5):
+        ks = list(inst.enumerate_up_to(max(ys)))
+        ms = list(inst.enumerate_up_to(max(xs)))
+        table = [[csum_brute(inst, k, m) for m in ms] for k in ks]
+        grid = [(x, y) for x in xs for y in ys]
+        brute = [
+            sum(
+                v
+                for k, row in zip(ks, table) if inst.norm(k) <= y
+                for m, v in zip(ms, row) if inst.norm(m) <= x
+            )
+            for x, y in grid
+        ]
+        assert [r.direct for r in double_sums(inst, grid)] == brute
+
+
+@pytest.mark.parametrize("mode", ["grouped", "direct"])
+def test_residue_scan_matches_one_point_at_a_time(zint, qi, mode):
+    points = [10, 100, 1000, 2500.5, 100, 0.5, 30]
+    for inst, k in ((zint, z_el(zint, 12)), (qi, Element(((0, 2), (1, 1))))):
+        assert residue_scan(inst, k, points, mode) == [
+            residue_series(inst, k, x, mode) for x in points
+        ]
 
 
 def test_mobius_pair_identity(zint, qi):
