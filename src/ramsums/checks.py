@@ -7,6 +7,7 @@ determined by (instance, bound/trials, seed).
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +30,9 @@ SUITES = ("th1", "th2", "apostol", "holder", "oracle")
 def _pmap(fn, items, workers: int):
     """[fn(item) for item in items]; ``workers`` is ignored.
 
-    The suites' per-item loops go through this name, with three positional
-    arguments, because the benchmark's traced mode (``perfbench/traced.py``)
-    rebinds ``_pmap`` to time them.
+    The per-item loops of th1, apostol and holder go through this name, with
+    three positional arguments, because the benchmark's traced mode
+    (``perfbench/traced.py``) rebinds ``_pmap`` to time them.
     """
     return [fn(item) for item in items]
 
@@ -49,28 +50,54 @@ def suite_th1(inst: MonoidInstance, bound: int) -> dict:
     return _report("th1", inst, bound=bound, checked=len(ks), failures=failures)
 
 
-def suite_th2(inst: MonoidInstance, bound: int) -> dict:
+class CsumBlock:
+    """csum(K, M) for every pair of ``elems``, rows K and columns M.
+
+    ``values`` is evaluated on its first read, every pair exactly once by
+    :func:`ramanujan_sum`.  By its Euler product |csum(K, M)| <= N(K), so
+    the n x n array (n = len(elems)) takes the narrowest signed dtype of at
+    least 16 bits that holds -max N(K): n**2 * itemsize bytes, 320 KB for Z
+    at bound 400 and 8 MB at bound 2000.  A value outside that dtype raises
+    OverflowError instead of wrapping.
+    """
+
+    def __init__(self, inst: MonoidInstance, elems):
+        self.inst = inst
+        self.elems = list(elems)
+        self.norms = [inst.norm(e) for e in self.elems]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        inst, elems = self.inst, self.elems
+        dtype = np.promote_types(np.min_scalar_type(-max(self.norms, default=1)), np.int16)
+        out = np.empty((len(elems), len(elems)), dtype)
+        for i, k in enumerate(elems):
+            out[i] = [ramanujan_sum(inst, k, m) for m in elems]
+        return out
+
+
+def suite_th2(inst: MonoidInstance, bound: int, block: CsumBlock | None = None) -> dict:
     """Divisibility identity for every pair (M, N) with norms <= bound.
 
-    Column by column: for each M the downset evaluator
-    (:class:`DivisorDownset`) evaluates csum(D, M) once for every D and sums
-    it over the divisors of each N, so each (D, M) pair is evaluated exactly
-    once.  The right side is norm(N) when N is among M's divisors, else 0.
-    Failures are listed N-major.
+    Reads the csum block over the elements of norm <= bound (``block``, or
+    its own when None): n**2 * itemsize bytes, int16 up to bound 32768.
+    Row N of the left side is the int64 sum of the block rows of N's
+    divisors (:meth:`DivisorDownset.zeta_rows`); the right side is norm(N)
+    at the columns of N's multiples, else 0.  Every nonzero difference is a
+    failure, listed N-major.
     """
-    elems = list(inst.enumerate_up_to(bound))
+    if block is None:
+        block = CsumBlock(inst, inst.enumerate_up_to(bound))
+    elems, norms = block.elems, block.norms
     downset = DivisorDownset(inst, elems)
-    norms = [inst.norm(n) for n in elems]
-
-    def column(j):
-        rhs = [0] * len(elems)
-        for i in downset.div_idx[j]:
-            rhs[i] = norms[i]
-        lhs = downset.divisibility_sums(elems[j])
-        return [(i, j) for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
-
-    bad = sorted(pair for col in _pmap(column, range(len(elems)), 1) for pair in col)
-    failures = [f"m={elems[j].exps} n={elems[i].exps}" for i, j in bad]
+    multiples = [[] for _ in elems]
+    for j, idx in enumerate(downset.div_idx):
+        for i in idx:
+            multiples[i].append(j)
+    failures = []
+    for i, row in enumerate(downset.zeta_rows(block.values)):
+        row[multiples[i]] -= norms[i]
+        failures += [f"m={elems[j].exps} n={elems[i].exps}" for j in np.flatnonzero(row)]
     return _report("th2", inst, bound=bound, checked=len(elems) ** 2, failures=failures)
 
 
@@ -154,35 +181,34 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int) -> dict:
     return _report("holder", inst, bound=bound, seed=seed, checked=checked, failures=failures)
 
 
-def _trig_sums(k: int) -> list[complex]:
+def _trig_sums(k: int) -> np.ndarray:
     """The trigonometric sums over h coprime to k of exp(2 pi i r h / k), for
     r = 0 .. k-1: k times the inverse DFT of the indicator of (Z/k)^x."""
     h = np.arange(k)
-    return (k * np.fft.ifft(np.gcd(h, k) == 1)).tolist()
+    return k * np.fft.ifft(np.gcd(h, k) == 1)
 
 
-def suite_oracle(inst: MonoidInstance, bound: int) -> dict:
+def suite_oracle(inst: MonoidInstance, bound: int, block: CsumBlock | None = None) -> dict:
     """Divisor-sum evaluator against the trigonometric sums, integers only.
 
     The trigonometric sum over h coprime to k of exp(2 pi i m h / k) is the
     definitional sum; it depends on m only through m mod k, and all k
-    residues come from one DFT (:func:`_trig_sums`).  It is compared with
-    csum(k, m) for every m <= bound.
+    residues come from one DFT (:func:`_trig_sums`).  Row k of the csum
+    block (``block``, or its own when None: bound**2 * itemsize bytes, int16
+    up to bound 32768) is compared with it for every m <= bound.  The
+    block's elements must be the integers 1..bound, else RuntimeError.
     """
     if not inst.parses_integers:
         raise ValueError("the oracle suite runs on the rational-integer instance")
-    m_elts = [factor_integer(inst, m) for m in range(1, bound + 1)]
-
-    def check_k(k):
-        k_elt = factor_integer(inst, k)
-        trig = _trig_sums(k)
-        return [
-            f"k={k} m={m}"
-            for m, m_elt in enumerate(m_elts, 1)
-            if abs(trig[m % k] - ramanujan_sum(inst, k_elt, m_elt)) >= 1e-6
-        ]
-
-    failures = [ctx for bad in _pmap(check_k, range(1, bound + 1), 1) for ctx in bad]
+    if block is None:
+        block = CsumBlock(inst, inst.enumerate_up_to(bound))
+    if block.elems != [factor_integer(inst, m) for m in range(1, bound + 1)]:
+        raise RuntimeError(f"the csum block's rows are not the integers 1..{bound}")
+    ms = np.arange(1, bound + 1)
+    failures = []
+    for k, row in enumerate(block.values, 1):
+        bad = np.abs(_trig_sums(k)[ms % k] - row) >= 1e-6
+        failures += [f"k={k} m={m}" for m in ms[bad].tolist()]
     return _report("oracle", inst, bound=bound, checked=bound * bound, failures=failures)
 
 
@@ -193,6 +219,12 @@ def run_suite(
     trials: int = 100,
     seed: int = 0,
 ) -> dict:
+    """Run one suite, or every suite that applies to ``inst`` for "all".
+
+    "all" builds one csum block over the elements of norm <= bound
+    (:class:`CsumBlock`: n**2 * itemsize bytes, int16 up to bound 32768),
+    evaluated inside th2 and read again by oracle; it is dropped on return.
+    """
     if suite == "th1":
         return suite_th1(inst, bound)
     if suite == "th2":
@@ -204,8 +236,15 @@ def run_suite(
     if suite == "oracle":
         return suite_oracle(inst, bound)
     if suite == "all":
-        names = [s for s in SUITES if s != "oracle" or inst.parses_integers]
-        parts = [run_suite(inst, s, bound, trials, seed) for s in names]
+        block = CsumBlock(inst, inst.enumerate_up_to(bound))
+        parts = [
+            suite_th1(inst, bound),
+            suite_th2(inst, bound, block),
+            suite_apostol(inst, trials, seed),
+            suite_holder(inst, bound, seed),
+        ]
+        if inst.parses_integers:
+            parts.append(suite_oracle(inst, bound, block))
         total = sum(len(p["failures"]) for p in parts)
         return _report("all", inst, suites=parts, failures_total=total)
     raise ValueError(f"unknown suite {suite!r}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -131,14 +132,21 @@ class DivisorDownset:
             missing = exc.args[0]
             raise ValueError(f"elements are not divisor-closed: {missing!r} is missing") from None
 
+    def zeta_rows(self, block: np.ndarray) -> Iterator[np.ndarray]:
+        """The zeta transform of ``block`` over the downset: for each N in
+        ``elems``, in order, the int64 sum of ``block[i]`` over the positions
+        i of N's divisors.  ``block`` is indexed by ``elems`` along axis 0."""
+        for idx in self.div_idx:
+            yield block[idx].sum(axis=0, dtype=np.int64)
+
     def divisibility_sums(self, m: Element) -> list[int]:
         """Left side of the divisibility identity against one M, for every N
         in ``elems``: the sum of csum(D, M) over the divisors D of N.
 
-        This is the zeta transform of csum(., M) over the downset: the column
-        csum(D, M) is evaluated once for every D, then summed per N."""
-        col = [ramanujan_sum(self.inst, d, m) for d in self.elems]
-        return [sum([col[i] for i in idx]) for idx in self.div_idx]
+        The column csum(D, M) is evaluated once for every D, then summed per
+        N by :meth:`zeta_rows`."""
+        col = np.array([ramanujan_sum(self.inst, d, m) for d in self.elems], np.int64)
+        return [int(s) for s in self.zeta_rows(col)]
 
 
 def divisibility_identity(inst: MonoidInstance, m: Element, n: Element) -> IdentityReport:

@@ -157,6 +157,120 @@ def test_th2_evaluates_each_pair_once(monkeypatch, name, bound):
     assert (report["failures"], len(calls)) == ([], n * n)
 
 
+def _count_csum_calls(monkeypatch) -> list:
+    real, calls = csums.ramanujan_sum, []
+
+    def counted(inst, k, m):
+        calls.append(None)
+        return real(inst, k, m)
+
+    _patch_csum(monkeypatch, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,disc,bound", [("z", 1, 30), ("q:-23", -23, 20)])
+def test_suite_all_evaluates_the_block_once(monkeypatch, name, disc, bound):
+    # th2 and oracle share one n x n block; th1 and holder's exhaustive layer
+    # each evaluate sum of tau(K) pairs, and holder samples min(2000, n**2)
+    if name == "z":
+        n, taus = bound, _divisor_pairs_z(bound)
+    else:
+        n, taus = _divisor_pairs_field(disc, bound)
+    calls = _count_csum_calls(monkeypatch)
+    report = checks.run_suite(cli.make_instance(name), "all", bound=bound, seed=3)
+    assert report["failures_total"] == 0
+    assert len(calls) == n * n + 2 * taus + min(2000, n * n) == {"z": 2022, "q:-23": 3256}[name]
+
+
+def test_oracle_alone_evaluates_every_pair_once(zint, monkeypatch):
+    calls = _count_csum_calls(monkeypatch)
+    assert checks.suite_oracle(zint, BOUND)["failures"] == []
+    assert len(calls) == BOUND * BOUND
+
+
+def _th2_reference(inst, bound: int) -> dict:
+    """The th2 report, one column M at a time from divisibility_identity."""
+    elems = list(inst.enumerate_up_to(bound))
+    bad = []
+    for j, m in enumerate(elems):
+        for i, n in enumerate(elems):
+            rep = csums.divisibility_identity(inst, m, n)
+            if not rep.passed:
+                bad.append((i, j, rep.context))
+    failures = [ctx for _, _, ctx in sorted(bad)]
+    return {"suite": "th2", "instance": inst.name, "bound": bound,
+            "checked": len(elems) ** 2, "failures": failures}
+
+
+def _oracle_reference(inst, bound: int) -> dict:
+    """The oracle report, one column m at a time from the trigonometric sum."""
+    elts = [factor_integer(inst, v) for v in range(1, bound + 1)]
+    bad = []
+    for m in range(1, bound + 1):
+        for k in range(1, bound + 1):
+            csum = csums.ramanujan_sum(inst, elts[k - 1], elts[m - 1])
+            if abs(trig_csum(k, m) - csum) >= 1e-6:
+                bad.append((k, m))
+    return {"suite": "oracle", "instance": inst.name, "bound": bound,
+            "checked": bound * bound, "failures": [f"k={k} m={m}" for k, m in sorted(bad)]}
+
+
+@pytest.mark.parametrize("name,bound", [("z", 60), ("q:-1", 50), ("q:-23", 40), ("q:5", 40)])
+@pytest.mark.parametrize("faults", [0, 2])
+def test_block_suites_match_per_column_references(monkeypatch, name, bound, faults):
+    inst = cli.make_instance(name)
+    elems = list(inst.enumerate_up_to(bound))
+    # a fault at (K, M) fails row N at column M for every multiple N of K
+    for k, m in [(elems[2], elems[-1]), (elems[1], elems[6])][:faults]:
+        _sabotage_csum(monkeypatch, k, m)
+    report = checks.suite_th2(inst, bound)
+    assert report == _th2_reference(inst, bound)
+    assert len(report["failures"]) >= faults
+    if name == "z":
+        report = checks.suite_oracle(inst, bound)
+        assert report == _oracle_reference(inst, bound)
+        assert len(report["failures"]) == faults
+
+
+@pytest.mark.parametrize("value", [2**15, 2**40])
+def test_out_of_range_csum_is_an_internal_error(zint, monkeypatch, capsys, value):
+    # |csum(K, M)| <= N(K) <= 30 fits int16; a larger value must not wrap
+    real = csums.ramanujan_sum
+    k_bad, m_bad = factor_integer(zint, 12), factor_integer(zint, 18)
+    _patch_csum(
+        monkeypatch,
+        lambda inst, k, m: value if (k, m) == (k_bad, m_bad) else real(inst, k, m),
+    )
+    code = cli.main(["check", "--instance", "z", "--suite", "th2", "--bound", str(BOUND)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err.startswith("internal error: OverflowError: ")
+    assert out.err.count("\n") == 1
+
+
+def test_th2_row_sums_do_not_wrap(zint, monkeypatch):
+    # each offset fits the int16 block, but row 4 adds all three, 2**16 in
+    # total: an int16 sum would wrap back to the right side and hide it
+    real = csums.ramanujan_sum
+    four = factor_integer(zint, 4)
+    offsets = {factor_integer(zint, d): off for d, off in ((1, 21846), (2, 21845), (4, 21845))}
+    _patch_csum(
+        monkeypatch,
+        lambda inst, k, m: real(inst, k, m) + (offsets.get(k, 0) if m == four else 0),
+    )
+    report = checks.suite_th2(zint, BOUND)
+    assert report == _th2_reference(zint, BOUND)
+    assert f"m={four.exps} n={four.exps}" in report["failures"]
+
+
+def test_oracle_rejects_a_block_out_of_integer_order(zint):
+    elems = list(zint.enumerate_up_to(BOUND))
+    elems[3], elems[4] = elems[4], elems[3]
+    block = checks.CsumBlock(zint, elems)
+    with pytest.raises(RuntimeError, match="not the integers"):
+        checks.suite_oracle(zint, BOUND, block)
+
+
 def test_double_sum_evaluates_one_row_per_head(zint, monkeypatch):
     # With y = 10 the K are built from 2, 3, 5 and 7, so csum(K, M) reads
     # only the 7-smooth part of M: one row per 7-smooth m <= 1e4.
