@@ -7,9 +7,11 @@ field discriminant: +1 gives two ideals of norm p, -1 one ideal of norm
 p**2, and 0 (p ramified) one ideal of norm p.
 
 The module also carries the invariants feeding the residue of the zeta
-function at s = 1: class numbers of imaginary fields by counting reduced
-binary quadratic forms, regulators of real fields from the fundamental
-unit, and the round trip that recovers the class number from ideal counts.
+function at s = 1: class numbers of imaginary fields by counting the
+reduced binary quadratic forms with b >= 0, regulators of real fields from
+the fundamental unit, read off the continued fraction of the generator of
+the maximal order, and the round trip that recovers the class number from
+ideal counts.
 """
 
 from __future__ import annotations
@@ -319,82 +321,59 @@ def quadratic_field(d: int) -> MonoidInstance:
 
 
 def class_number_imaginary(disc: int) -> int:
-    """Class number of an imaginary quadratic field by counting reduced forms.
+    """Class number of an imaginary quadratic field by counting reduced forms
+    (Cohen, GTM 138, section 5.3).
 
-    Counts (a, b, c) with b*b - 4*a*c = disc, |b| <= a <= c, and b >= 0
-    whenever |b| = a or a = c.
+    Runs over the reduced forms (a, b, c) with b*b - 4*a*c = disc and
+    0 <= b <= a <= c.  Each counts once if b = 0, b = a or a = c, and
+    otherwise twice, for itself and for (a, -b, c).
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"need a negative discriminant = 0 or 1 mod 4, got {disc}")
     h = 0
-    a = 1
-    while 3 * a * a <= -disc:
-        for b in range(-a, a + 1):
-            if (b - disc) % 2:
-                continue
-            num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            h += 1
-        a += 1
+    for a in range(1, isqrt(-disc // 3) + 1):
+        for b in range(disc % 2, a + 1, 2):
+            c, r = divmod(b * b - disc, 4 * a)
+            if r == 0 and c >= a:
+                h += 1 if b in (0, a) or a == c else 2
     return h
-
-
-def _icbrt(n: int) -> int:
-    """Floor of the cube root, exact for big integers."""
-    if n < 2:
-        return n
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
 
 
 def fundamental_unit(d: int) -> tuple[int, int, int, int]:
     """Fundamental unit (u + v*sqrt(d)) / denom of the maximal order, d > 1
-    squarefree.
+    squarefree, from the continued fraction of its generator (Cohen, GTM 138,
+    section 5.7).
 
     Returns (u, v, denom, eta) with u*u - d*v*v == eta * denom**2 and
-    eta in {1, -1}.  The continued fraction of sqrt(d) yields the smallest
-    (p, q) with p*p - d*q*q = +-1; for d = 1 mod 4 a unit half that size may
-    exist, in which case (p, q) is its cube and u solves u**3 - 3*eta*u = 2*p.
+    eta in {1, -1}.  The generator is w = (P0 + sqrt(d)) / Q0, with
+    (P0, Q0) = (1, 2) for d = 1 mod 4 and (0, 1) otherwise.  The first
+    convergent p/q of w whose element (Q0*p - P0*q + q*sqrt(d)) / Q0 has
+    norm +-1 is the unit; it is reduced to denom 1 when u and v are even.
     """
     if d <= 1:
         raise ValueError("d must be > 1")
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise ValueError("d must not be a square")
-    P, Q, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
+    P0, Q0 = (1, 2) if d % 4 == 1 else (0, 1)
+    P, Q = P0, Q0
+    # the convergents p/q start from 0/1 and 1/0
+    p_prev, p = 0, 1
+    q_prev, q = 1, 0
     while True:
-        t = p * p - d * q * q
-        if t in (1, -1):
+        a = (P + a0) // Q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        u, v = Q0 * p - P0 * q, q
+        t = u * u - d * v * v
+        if t in (Q0 * Q0, -Q0 * Q0):
             break
         P = a * Q - P
         Q = (d - P * P) // Q
-        a = (a0 + P) // Q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    if d % 4 == 1:
-        eta = t  # eta**3 == t for eta in {1, -1}
-        u0 = _icbrt(2 * p)
-        for u in range(max(1, u0 - 2), u0 + 3):
-            if u**3 - 3 * eta * u != 2 * p:
-                continue
-            vv, r = divmod(u * u - 4 * eta, d)
-            if r == 0 and vv > 0:
-                v = isqrt(vv)
-                if v * v == vv and (u - v) % 2 == 0:
-                    return (u, v, 2, eta)
-    return (p, q, 1, t)
+    eta = t // (Q0 * Q0)
+    if u % 2 == 0 and v % 2 == 0:
+        return (u // 2, v // 2, 1, eta)
+    return (u, v, Q0, eta)
 
 
 def _log_surd(u: int, v: int, d: int, denom: int) -> float:

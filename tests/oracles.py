@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from the definitions, without reusing
 the library's evaluation strategies: divisor sums are brute-force over the
-whole divisor set, trigonometric sums use complex exponentials directly, and
+whole divisor set, trigonometric sums use complex exponentials directly,
 ideal counts come from the quadratic-character convolution or from lattice
-points.
+points, fundamental units come from a brute-force search over v, and class
+numbers from Dirichlet's finite formulas with a character built on sympy's
+Jacobi symbol.
 """
 
 import cmath
@@ -98,3 +100,61 @@ def euler_criterion(a: int, p: int) -> int:
     if r == 0:
         return 0
     return 1 if r == 1 else -1
+
+
+def quadratic_character(disc: int, n: int) -> int:
+    """Kronecker symbol (disc|n) for n >= 1: the rule for 2 on the powers of
+    2 in n, and sympy's integer Jacobi symbol on the odd part."""
+    try:
+        from sympy.external.gmpy import jacobi
+    except ImportError:  # sympy < 1.13 kept the integer version here
+        from sympy.ntheory import jacobi_symbol as jacobi
+
+    value = 1
+    while n % 2 == 0:
+        n //= 2
+        value *= 0 if disc % 2 == 0 else 1 if disc % 8 in (1, 7) else -1
+    return value * jacobi(disc % n, n)
+
+
+def class_number_dirichlet(disc: int) -> int:
+    """Class number of the imaginary quadratic field of fundamental
+    discriminant disc by Dirichlet's formula
+    h = -(w / (2|disc|)) * sum_{a < |disc|} chi(a) * a."""
+    w = 6 if disc == -3 else 4 if disc == -4 else 2
+    total = sum(quadratic_character(disc, a) * a for a in range(1, -disc))
+    h, r = divmod(w * total, 2 * disc)
+    assert r == 0, disc
+    return h
+
+
+def l_one_real(disc: int) -> float:
+    """L(1, chi) of the real quadratic field of fundamental discriminant disc,
+    by the finite formula -disc**(-1/2) * sum_{a < disc} chi(a) log sin(pi a / disc)."""
+    terms = (
+        quadratic_character(disc, a) * math.log(math.sin(math.pi * a / disc))
+        for a in range(1, disc)
+    )
+    return -math.fsum(terms) / math.sqrt(disc)
+
+
+def pell_unit(d: int) -> tuple[int, int, int, int]:
+    """Fundamental unit of the maximal order of Q(sqrt(d)), d > 1 squarefree,
+    as (u, v, denom, eta) by trying v = 1, 2, ... in turn.
+
+    Units are written (u + v*sqrt(d)) / 2 when d = 1 mod 4 and
+    u + v*sqrt(d) otherwise; the smallest v >= 1 with a square
+    u*u = d*v*v - eta*denom**2 (the smaller u first) gives the unit.  It is
+    reduced to denom 1 when u and v are even.
+    """
+    denom = 2 if d % 4 == 1 else 1
+    v = 1
+    while True:
+        for eta in (-1, 1):
+            uu = d * v * v + eta * denom * denom
+            u = isqrt(uu)
+            if u * u == uu:
+                if u % 2 == 0 and v % 2 == 0 and denom == 2:
+                    return (u // 2, v // 2, 1, eta)
+                return (u, v, denom, eta)
+        v += 1

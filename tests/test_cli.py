@@ -326,6 +326,17 @@ def test_invariants_command(capsys):
     assert code == 2 and "invariants" in err
 
 
+@pytest.mark.parametrize(
+    "d, unit", [(5, (1 + math.sqrt(5)) / 2), (13, (3 + math.sqrt(13)) / 2)]
+)
+def test_invariants_command_real_fields(capsys, d, unit):
+    code, out, _ = run(capsys, "invariants", "--instance", f"q:{d}", "--x", "100000")
+    assert code == 0
+    data = json.loads(out)
+    assert data["class_number_exact"] is None and data["h_rounded"] == 1
+    assert data["regulator"] == pytest.approx(math.log(unit), abs=1e-12)
+
+
 def test_caps(capsys):
     code, _, err = run(capsys, "count", "--instance", "z", "--x", "100000000")
     assert code == 2 and "cap" in err

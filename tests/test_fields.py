@@ -1,8 +1,15 @@
 import math
+from math import isqrt
 
 import pytest
 
-from oracles import euler_criterion, kronecker_counts
+from oracles import (
+    class_number_dirichlet,
+    euler_criterion,
+    kronecker_counts,
+    l_one_real,
+    pell_unit,
+)
 from ramsums import (
     FieldInvariants,
     InconclusiveEstimateError,
@@ -167,6 +174,24 @@ def test_class_number_imaginary():
         class_number_imaginary(-5)  # 3 mod 4 is not a discriminant
 
 
+def _squarefree(n: int) -> bool:
+    return all(n % (f * f) for f in range(2, isqrt(n) + 1))
+
+
+def _fundamental(disc: int) -> bool:
+    if disc % 4 == 1:
+        return _squarefree(abs(disc))
+    return disc % 4 == 0 and (disc // 4) % 4 in (2, 3) and _squarefree(abs(disc) // 4)
+
+
+def test_class_number_imaginary_against_dirichlet():
+    pytest.importorskip("sympy")
+    discs = [D for D in range(-1000, -2) if _fundamental(D)]
+    assert len(discs) == 305
+    for disc in discs:
+        assert class_number_imaginary(disc) == class_number_dirichlet(disc), disc
+
+
 def test_regulator_examples():
     assert math.isclose(regulator_real(8), math.log(1 + math.sqrt(2)), rel_tol=1e-12)
     assert math.isclose(regulator_real(12), math.log(2 + math.sqrt(3)), rel_tol=1e-12)
@@ -191,6 +216,23 @@ def test_fundamental_unit_half_integral_cases():
     # and one with d = 1 mod 4 whose unit is integral
     u, v, denom, _ = fundamental_unit(33)
     assert (u, v, denom) == (23, 4, 1)
+
+
+def test_fundamental_unit_is_the_smallest():
+    # a loop that returned a power of the unit would pass the norm equation
+    for d in range(2, 100):
+        if _squarefree(d):
+            assert fundamental_unit(d) == pell_unit(d), d
+
+
+def test_regulator_gives_integral_class_numbers():
+    # analytic class number formula h = sqrt(D) L(1, chi_D) / (2 R)
+    pytest.importorskip("sympy")
+    discs = [D for D in range(5, 1001) if _fundamental(D)]
+    assert len(discs) == 302
+    for disc in discs:
+        h = math.sqrt(disc) * l_one_real(disc) / (2 * regulator_real(disc))
+        assert round(h) >= 1 and abs(h - round(h)) < 1e-6, (disc, h)
 
 
 def test_residue_constant_examples(qi, q23, q2):
