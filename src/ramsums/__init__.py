@@ -34,6 +34,7 @@ from .csums import (
     IdentityReport,
     ZetaTruncation,
     common_divisor_sum,
+    csum_block,
     density_fit,
     divisibility_identity,
     divisor_sum_identity,

@@ -11,10 +11,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import INT, ArithFn, mobius_fn, norm_fn
+from .arith import INT, ArithFn, mobius
 from .csums import (
     DivisorDownset,
-    common_divisor_sum,
+    csum_block,
     divisor_sum_identity,
     first_argument_convolution,
     jordan_like_local_form,
@@ -25,6 +25,7 @@ from .fields import factor_integer
 from .monoid import Element, MonoidInstance
 
 SUITES = ("th1", "th2", "apostol", "holder", "oracle")
+_CHUNK_ITEMS = 1 << 15  # int64 entries per row chunk of CsumBlock.values: 256 KB
 
 
 def _pmap(fn, items, workers: int):
@@ -53,12 +54,15 @@ def suite_th1(inst: MonoidInstance, bound: int) -> dict:
 class CsumBlock:
     """csum(K, M) for every pair of ``elems``, rows K and columns M.
 
-    ``values`` is evaluated on its first read, every pair exactly once by
-    :func:`ramanujan_sum`.  By its Euler product |csum(K, M)| <= N(K), so
-    the n x n array (n = len(elems)) takes the narrowest signed dtype of at
+    ``values`` is evaluated on its first read by :func:`csum_block`, in
+    chunks of rows whose int64 temporaries take at most _CHUNK_ITEMS * 8
+    bytes (256 KB).  By its Euler product |csum(K, M)| <= N(K), so the
+    n x n array (n = len(elems)) takes the narrowest signed dtype of at
     least 16 bits that holds -max N(K): n**2 * itemsize bytes, 320 KB for Z
-    at bound 400 and 8 MB at bound 2000.  A value outside that dtype raises
-    OverflowError instead of wrapping.
+    at bound 400 and 8 MB at bound 2000.  Each chunk is range-checked before
+    it is stored: a value outside that dtype raises OverflowError instead of
+    wrapping.  ``downset``, the :class:`DivisorDownset` over ``elems``, is
+    built on its first read and shared by th2 and holder.
     """
 
     def __init__(self, inst: MonoidInstance, elems):
@@ -67,13 +71,37 @@ class CsumBlock:
         self.norms = [inst.norm(e) for e in self.elems]
 
     @cached_property
+    def downset(self) -> DivisorDownset:
+        return DivisorDownset(self.inst, self.elems)
+
+    @cached_property
     def values(self) -> np.ndarray:
-        inst, elems = self.inst, self.elems
+        elems, n = self.elems, len(self.elems)
         dtype = np.promote_types(np.min_scalar_type(-max(self.norms, default=1)), np.int16)
-        out = np.empty((len(elems), len(elems)), dtype)
-        for i, k in enumerate(elems):
-            out[i] = [ramanujan_sum(inst, k, m) for m in elems]
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        out = np.empty((n, n), dtype)
+        step = max(1, _CHUNK_ITEMS // max(n, 1))
+        for start in range(0, n, step):
+            chunk = csum_block(self.inst, elems[start : start + step], elems)
+            bad = chunk[(chunk < lo) | (chunk > hi)]
+            if bad.size:
+                raise OverflowError(f"csum value {bad[0]} does not fit the {dtype} csum block")
+            out[start : start + step] = chunk
         return out
+
+    def definition(self, i: int) -> dict[int, int]:
+        """csum(K, G) by its definition for K = ``elems[i]`` and every
+        divisor G of K, keyed by the position of G.
+
+        The weights N(D) * mu(K - D) are taken once over the divisor
+        positions of K, reading K - D off the reversed list (the divisors
+        are complement-symmetric); the value at G is their sum over the
+        divisor positions of G, which are exactly the D below both G and K.
+        """
+        div_idx, norms, elems = self.downset.div_idx, self.norms, self.elems
+        idx = div_idx[i]
+        weight = {d: norms[d] * mobius(elems[c]) for d, c in zip(idx, reversed(idx))}
+        return {g: sum(weight[d] for d in div_idx[g]) for g in idx}
 
 
 def suite_th2(inst: MonoidInstance, bound: int, block: CsumBlock | None = None) -> dict:
@@ -82,14 +110,14 @@ def suite_th2(inst: MonoidInstance, bound: int, block: CsumBlock | None = None) 
     Reads the csum block over the elements of norm <= bound (``block``, or
     its own when None): n**2 * itemsize bytes, int16 up to bound 32768.
     Row N of the left side is the int64 sum of the block rows of N's
-    divisors (:meth:`DivisorDownset.zeta_rows`); the right side is norm(N)
-    at the columns of N's multiples, else 0.  Every nonzero difference is a
-    failure, listed N-major.
+    divisors (:meth:`DivisorDownset.zeta_rows` over the block's shared
+    ``downset``); the right side is norm(N) at the columns of N's
+    multiples, else 0.  Every nonzero difference is a failure, listed
+    N-major.
     """
     if block is None:
         block = CsumBlock(inst, inst.enumerate_up_to(bound))
-    elems, norms = block.elems, block.norms
-    downset = DivisorDownset(inst, elems)
+    elems, norms, downset = block.elems, block.norms, block.downset
     multiples = [[] for _ in elems]
     for j, idx in enumerate(downset.div_idx):
         for i in idx:
@@ -145,37 +173,43 @@ def suite_apostol(inst: MonoidInstance, trials: int, seed: int) -> dict:
     )
 
 
-def suite_holder(inst: MonoidInstance, bound: int, seed: int) -> dict:
+def suite_holder(
+    inst: MonoidInstance, bound: int, seed: int, block: CsumBlock | None = None
+) -> dict:
     """Fast evaluator against the definitional sum and the local closed form.
 
     csum(K, M) depends on M only through G = gcd(M, K), so the exhaustive
     layer runs over (K, G | K) for every K with norm <= bound; a seeded
-    sample of full (K, M) pairs guards the gcd reduction itself.
+    sample of full (K, M) pairs guards the gcd reduction itself.  The
+    definitional side is :meth:`CsumBlock.definition`, read off the divisor
+    positions of ``block`` (or its own when None); the block's ``values``
+    are never read.
     """
-    elems = list(inst.enumerate_up_to(bound))
-    norm, mu = norm_fn(inst), mobius_fn()
+    if block is None:
+        block = CsumBlock(inst, inst.enumerate_up_to(bound))
+    elems = block.elems
 
-    def check_k(k):
+    def check_k(i):
+        k, defined = elems[i], block.definition(i)
         bad = []
-        divs = inst.divisors(k)
-        for g in divs:
-            brute = common_divisor_sum(inst, norm, mu, g, k)
-            fast = ramanujan_sum(inst, k, g)
-            if fast != brute:
-                bad.append(f"definition k={k.exps} m={g.exps}")
-            if jordan_like_local_form(inst, k, g) != brute:
-                bad.append(f"local-form k={k.exps} m={g.exps}")
-        return len(divs), bad
+        for g, brute in defined.items():
+            m = elems[g]
+            if ramanujan_sum(inst, k, m) != brute:
+                bad.append(f"definition k={k.exps} m={m.exps}")
+            if jordan_like_local_form(inst, k, m) != brute:
+                bad.append(f"local-form k={k.exps} m={m.exps}")
+        return defined, bad
 
-    per_k = _pmap(check_k, elems, 1)
+    per_k = _pmap(check_k, range(len(elems)), 1)
     failures = [ctx for _, bad in per_k for ctx in bad]
-    checked = sum(n for n, _ in per_k)
+    checked = sum(len(defined) for defined, _ in per_k)
+    index = block.downset.index
     rng = random.Random(seed)
     sample = min(2000, len(elems) ** 2)
     for _ in range(sample):
-        k = elems[rng.randrange(len(elems))]
-        m = elems[rng.randrange(len(elems))]
-        if ramanujan_sum(inst, k, m) != common_divisor_sum(inst, norm, mu, m, k):
+        i = rng.randrange(len(elems))
+        k, m = elems[i], elems[rng.randrange(len(elems))]
+        if ramanujan_sum(inst, k, m) != per_k[i][0][index[m.gcd(k)]]:
             failures.append(f"definition k={k.exps} m={m.exps}")
     checked += sample
     return _report("holder", inst, bound=bound, seed=seed, checked=checked, failures=failures)
@@ -223,7 +257,8 @@ def run_suite(
 
     "all" builds one csum block over the elements of norm <= bound
     (:class:`CsumBlock`: n**2 * itemsize bytes, int16 up to bound 32768),
-    evaluated inside th2 and read again by oracle; it is dropped on return.
+    evaluated inside th2 and read again by oracle; th2 and holder share its
+    divisor downset.  It is dropped on return.
     """
     if suite == "th1":
         return suite_th1(inst, bound)
@@ -241,7 +276,7 @@ def run_suite(
             suite_th1(inst, bound),
             suite_th2(inst, bound, block),
             suite_apostol(inst, trials, seed),
-            suite_holder(inst, bound, seed),
+            suite_holder(inst, bound, seed, block),
         ]
         if inst.parses_integers:
             parts.append(suite_oracle(inst, bound, block))

@@ -80,6 +80,38 @@ def ramanujan_sum(inst: MonoidInstance, k: Element, m: Element) -> int:
     return total
 
 
+def csum_block(inst: MonoidInstance, ks, ms) -> np.ndarray:
+    """csum(K, M) for every K in ``ks`` (rows) and M in ``ms`` (columns), as
+    an int64 array of shape len(ks) x len(ms).
+
+    :func:`ramanujan_sum`'s Euler product applied to whole rows: for each
+    atom power P**e that exactly divides some K, the rows of those K are
+    multiplied by one column vector read off the exponents of P in the
+    columns: N(P)**e - N(P)**(e-1) where M's exponent is at least e,
+    -N(P)**(e-1) where it is e - 1, and 0 where it is lower.  An atom that
+    does not divide K contributes 1.  Every partial product is at most N(K)
+    in size, so OverflowError is raised when some N(K) exceeds int64.
+    """
+    ks, ms = list(ks), list(ms)
+    if max(map(inst.norm, ks), default=1) > np.iinfo(np.int64).max:
+        raise OverflowError("csum_block: a norm of ks exceeds the int64 range")
+    rows = {}
+    for i, k in enumerate(ks):
+        for power in k.exps:
+            rows.setdefault(power, []).append(i)
+    cols = {aid: [0] * len(ms) for aid, _ in rows}
+    for j, m in enumerate(ms):
+        for aid, e in m.exps:
+            if aid in cols:
+                cols[aid][j] = e
+    mexps = {aid: np.array(col, np.int64) for aid, col in cols.items()}
+    out = np.ones((len(ks), len(ms)), np.int64)
+    for (aid, e), idx in rows.items():
+        q, me = inst.norms[aid], mexps[aid]
+        out[idx] *= np.where(me >= e, q**e - q ** (e - 1), np.where(me == e - 1, -(q ** (e - 1)), 0))
+    return out
+
+
 def common_divisor_sum(inst: MonoidInstance, f: ArithFn, g: ArithFn, m: Element, k: Element):
     """Bilinear sum of f(D) g(K - D) over D below both M and K.
 
@@ -117,15 +149,17 @@ class DivisorDownset:
     """A divisor-closed list of elements with the divisor positions of each.
 
     ``div_idx[i]`` lists the positions in ``elems`` of the divisors of
-    ``elems[i]``.  Memory is O(len(elems) + sum of tau(N)); no table over
-    pairs is built.  Raises ValueError when a divisor of some element is
-    missing from ``elems``.
+    ``elems[i]``, in :meth:`MonoidInstance.divisors` order, so the
+    complement of the t-th divisor is the t-th from the end; ``index`` maps
+    each element to its position.  Memory is O(len(elems) + sum of tau(N));
+    no table over pairs is built.  Raises ValueError when a divisor of some
+    element is missing from ``elems``.
     """
 
     def __init__(self, inst: MonoidInstance, elems):
         self.inst = inst
         self.elems = list(elems)
-        index = {e: i for i, e in enumerate(self.elems)}
+        self.index = index = {e: i for i, e in enumerate(self.elems)}
         try:
             self.div_idx = [[index[d] for d in inst.divisors(n)] for n in self.elems]
         except KeyError as exc:
@@ -143,9 +177,9 @@ class DivisorDownset:
         """Left side of the divisibility identity against one M, for every N
         in ``elems``: the sum of csum(D, M) over the divisors D of N.
 
-        The column csum(D, M) is evaluated once for every D, then summed per
-        N by :meth:`zeta_rows`."""
-        col = np.array([ramanujan_sum(self.inst, d, m) for d in self.elems], np.int64)
+        The column csum(D, M) over every D is one :func:`csum_block`, then
+        summed per N by :meth:`zeta_rows`."""
+        col = csum_block(self.inst, self.elems, [m])[:, 0]
         return [int(s) for s in self.zeta_rows(col)]
 
 

@@ -1,11 +1,24 @@
 import json
 import math
 import random
+from collections import Counter
+from itertools import product
 
+import numpy as np
 import pytest
 
 from oracles import csum_brute, kronecker_counts, trig_csum
-from ramsums import DivisorDownset, Element, IdentityReport, cli, csums, factor_integer
+from ramsums import (
+    DivisorDownset,
+    Element,
+    IdentityReport,
+    cli,
+    common_divisor_sum,
+    csums,
+    factor_integer,
+    mobius_fn,
+    norm_fn,
+)
 from ramsums import checks
 
 BOUND = 30  # 29 is the only element of Z up to the bound that 29 divides
@@ -13,9 +26,16 @@ SEED = 5
 
 
 def _patch_csum(monkeypatch, fn) -> None:
-    """Replace csum everywhere the suites evaluate it."""
-    monkeypatch.setattr(csums, "ramanujan_sum", fn)
-    monkeypatch.setattr(checks, "ramanujan_sum", fn)
+    """Replace csum everywhere the suites evaluate it: the scalar evaluator,
+    and the block kernel, which then fills its block pair by pair from
+    ``fn`` in int64."""
+
+    def block(inst, ks, ms):
+        return np.array([[fn(inst, k, m) for m in ms] for k in ks], np.int64).reshape(len(ks), len(ms))
+
+    for module in (csums, checks):
+        monkeypatch.setattr(module, "ramanujan_sum", fn)
+        monkeypatch.setattr(module, "csum_block", block)
 
 
 def _sabotage_csum(monkeypatch, k_bad: Element, m_bad: Element) -> None:
@@ -135,6 +155,30 @@ def test_divisibility_sums_match_definition(qi, q23):
             assert downset.divisibility_sums(m) == brute == rhs
 
 
+@pytest.mark.parametrize("name", ["z", "q:-23"])
+def test_holder_definition_matches_common_divisor_sum(monkeypatch, name):
+    inst = cli.make_instance(name)
+    block = checks.CsumBlock(inst, inst.enumerate_up_to(40))
+    elems, norm, mu = block.elems, norm_fn(inst), mobius_fn()
+    for i, k in enumerate(elems):
+        defined = block.definition(i)
+        assert [elems[g] for g in defined] == inst.divisors(k)
+        for g, value in defined.items():
+            assert value == common_divisor_sum(inst, norm, mu, elems[g], k)
+    # with common_divisor_sum as the fast side, a failure would be a pair,
+    # exhaustive or sampled, where holder's indexed value differs from it
+    pairs = []
+
+    def definitional(inst, k, m):
+        pairs.append((k, m))
+        return common_divisor_sum(inst, norm, mu, m, k)
+
+    monkeypatch.setattr(checks, "ramanujan_sum", definitional)
+    report = checks.suite_holder(inst, 40, SEED, block)
+    assert report["failures"] == [] and len(pairs) == report["checked"]
+    assert any(m not in inst.divisors(k) for k, m in pairs)
+
+
 def test_downset_rejects_a_list_that_is_not_divisor_closed(zint):
     elems = list(zint.enumerate_up_to(30))
     DivisorDownset(zint, elems)
@@ -142,50 +186,66 @@ def test_downset_rejects_a_list_that_is_not_divisor_closed(zint):
         DivisorDownset(zint, [e for e in elems if e != factor_integer(zint, 3)])
 
 
+def _count_csum_calls(monkeypatch) -> tuple[list, list]:
+    """Count the scalar csum calls, and record every (K, M) pair that a
+    call of the block kernel covers."""
+    real, real_block, calls, pairs = csums.ramanujan_sum, csums.csum_block, [], []
+
+    def counted(inst, k, m):
+        calls.append(None)
+        return real(inst, k, m)
+
+    def recorded(inst, ks, ms):
+        pairs.extend(product(ks, ms))
+        return real_block(inst, ks, ms)
+
+    for module in (csums, checks):
+        monkeypatch.setattr(module, "ramanujan_sum", counted)
+        monkeypatch.setattr(module, "csum_block", recorded)
+    return calls, pairs
+
+
+def _each_pair_once(pairs, elems) -> bool:
+    return Counter(pairs) == Counter(product(elems, elems))
+
+
 @pytest.mark.parametrize("name,bound", [("z", 30), ("q:-23", 20)])
 def test_th2_evaluates_each_pair_once(monkeypatch, name, bound):
     inst = cli.make_instance(name)
-    n = len(list(inst.enumerate_up_to(bound)))
-    real, calls = csums.ramanujan_sum, []
-
-    def counted(inst, k, m):
-        calls.append(None)
-        return real(inst, k, m)
-
-    _patch_csum(monkeypatch, counted)
+    elems = list(inst.enumerate_up_to(bound))
+    calls, pairs = _count_csum_calls(monkeypatch)
     report = checks.suite_th2(inst, bound)
-    assert (report["failures"], len(calls)) == ([], n * n)
-
-
-def _count_csum_calls(monkeypatch) -> list:
-    real, calls = csums.ramanujan_sum, []
-
-    def counted(inst, k, m):
-        calls.append(None)
-        return real(inst, k, m)
-
-    _patch_csum(monkeypatch, counted)
-    return calls
+    assert (report["failures"], len(calls)) == ([], 0)
+    assert _each_pair_once(pairs, elems)
 
 
 @pytest.mark.parametrize("name,disc,bound", [("z", 1, 30), ("q:-23", -23, 20)])
 def test_suite_all_evaluates_the_block_once(monkeypatch, name, disc, bound):
-    # th2 and oracle share one n x n block; th1 and holder's exhaustive layer
-    # each evaluate sum of tau(K) pairs, and holder samples min(2000, n**2)
+    # th2 and oracle share one n x n block from the kernel; th1 and holder's
+    # exhaustive layer each evaluate sum of tau(K) scalar pairs, and holder
+    # samples min(2000, n**2)
     if name == "z":
         n, taus = bound, _divisor_pairs_z(bound)
     else:
         n, taus = _divisor_pairs_field(disc, bound)
-    calls = _count_csum_calls(monkeypatch)
-    report = checks.run_suite(cli.make_instance(name), "all", bound=bound, seed=3)
+    inst = cli.make_instance(name)
+    elems = list(inst.enumerate_up_to(bound))
+    calls, pairs = _count_csum_calls(monkeypatch)
+    report = checks.run_suite(inst, "all", bound=bound, seed=3)
     assert report["failures_total"] == 0
-    assert len(calls) == n * n + 2 * taus + min(2000, n * n) == {"z": 2022, "q:-23": 3256}[name]
+    assert _each_pair_once(pairs, elems)
+    assert len(calls) == 2 * taus + min(2000, n * n) == {"z": 1122, "q:-23": 1812}[name]
+    # holder alone reads the block's divisor positions, never its values
+    block = checks.CsumBlock(inst, elems)
+    assert checks.suite_holder(inst, bound, 3, block)["failures"] == []
+    assert "values" not in vars(block) and len(pairs) == n * n
 
 
 def test_oracle_alone_evaluates_every_pair_once(zint, monkeypatch):
-    calls = _count_csum_calls(monkeypatch)
+    calls, pairs = _count_csum_calls(monkeypatch)
     assert checks.suite_oracle(zint, BOUND)["failures"] == []
-    assert len(calls) == BOUND * BOUND
+    assert len(calls) == 0
+    assert _each_pair_once(pairs, list(zint.enumerate_up_to(BOUND)))
 
 
 def _th2_reference(inst, bound: int) -> dict:
@@ -372,7 +432,7 @@ def test_oracle_suite_reduces_m_mod_k(zint, monkeypatch):
     # with every csum set to 0, a pair fails exactly when its trigonometric
     # sum is nonzero, i.e. when mu(k / gcd(k, m)) != 0 (Hoelder's formula);
     # m runs past k, so every residue value is read more than once
-    monkeypatch.setattr(checks, "ramanujan_sum", lambda inst, k, m: 0)
+    _patch_csum(monkeypatch, lambda inst, k, m: 0)
     report = checks.suite_oracle(zint, 24)
     expected = [
         f"k={k} m={m}"

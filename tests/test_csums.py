@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from ramsums import (
     MonoidInstance,
     common_divisor_sum,
     convolve,
+    csum_block,
     delta,
     density_fit,
     dirichlet_inverse,
@@ -120,6 +122,25 @@ def test_csum_matches_definitions_any_k_order(zint, qi, q23, args):
     value = ramanujan_sum(inst, k, m)
     assert value == common_divisor_sum(inst, norm_fn(inst), mobius_fn(), m, k)
     assert value == csum_brute(inst, k, m)
+
+
+@pytest.mark.parametrize("name,bound", [("zint", 60), ("qi", 50), ("q23", 40), ("q5", 40)])
+def test_csum_block_matches_scalar_evaluator(request, name, bound):
+    # on Z, 32 = 2**5 meets M with 2-exponent >= 5, = 4 and < 4: all three
+    # per-atom factors
+    inst = request.getfixturevalue(name)
+    elems = list(inst.enumerate_up_to(bound))
+    for ks, ms in ((elems, elems), (elems[::3], elems[1::2]), ([], elems), (elems, [])):
+        block = csum_block(inst, ks, ms)
+        assert block.dtype == np.int64 and block.shape == (len(ks), len(ms))
+        assert block.tolist() == [[ramanujan_sum(inst, k, m) for m in ms] for k in ks]
+
+
+def test_csum_block_refuses_norms_past_int64(zint):
+    two = z_el(zint, 2)
+    assert csum_block(zint, [Element(((two.exps[0][0], 62),))], [ZERO]).tolist() == [[0]]
+    with pytest.raises(OverflowError):
+        csum_block(zint, [Element(((two.exps[0][0], 63),))], [ZERO])
 
 
 def test_csum_against_trig_oracle(zint):
