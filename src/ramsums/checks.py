@@ -13,6 +13,7 @@ import numpy as np
 
 from .arith import INT, ArithFn, mobius
 from .csums import (
+    _CHUNK_ITEMS,
     DivisorDownset,
     csum_block,
     divisor_sum_identity,
@@ -25,7 +26,6 @@ from .fields import factor_integer
 from .monoid import Element, MonoidInstance
 
 SUITES = ("th1", "th2", "apostol", "holder", "oracle")
-_CHUNK_ITEMS = 1 << 15  # int64 entries per row chunk of CsumBlock.values: 256 KB
 
 
 def _pmap(fn, items, workers: int):

@@ -17,7 +17,7 @@ and floats only enter where logarithms or densities do.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +27,9 @@ import numpy as np
 
 from .arith import ArithFn, _check_ring, convolve, jordan_totient, mobius, one, von_mangoldt
 from .monoid import Element, MonoidInstance, _floor
+
+#: int64 entries per chunk of the array work below: 256 KB per temporary
+_CHUNK_ITEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -173,14 +176,22 @@ class DivisorDownset:
         for idx in self.div_idx:
             yield block[idx].sum(axis=0, dtype=np.int64)
 
-    def divisibility_sums(self, m: Element) -> list[int]:
-        """Left side of the divisibility identity against one M, for every N
-        in ``elems``: the sum of csum(D, M) over the divisors D of N.
+    def divisibility_sums(self, ms) -> list[list[int]]:
+        """Left side of the divisibility identity against each M in ``ms``,
+        for every N in ``elems``: row j holds the sum of csum(D, ms[j]) over
+        the divisors D of N, for each N in order.
 
-        The column csum(D, M) over every D is one :func:`csum_block`, then
-        summed per N by :meth:`zeta_rows`."""
-        col = csum_block(self.inst, self.elems, [m])[:, 0]
-        return [int(s) for s in self.zeta_rows(col)]
+        The columns csum(D, M) over every D come from :func:`csum_block` in
+        chunks of at most _CHUNK_ITEMS entries, summed per N by
+        :meth:`zeta_rows`."""
+        ms, n = list(ms), len(self.elems)
+        step = max(1, _CHUNK_ITEMS // max(n, 1))
+        out = []
+        for start in range(0, len(ms), step):
+            cols = csum_block(self.inst, self.elems, ms[start : start + step])
+            sums = np.array(list(self.zeta_rows(cols))).reshape(n, -1)
+            out += sums.T.tolist()
+        return out
 
 
 def divisibility_identity(inst: MonoidInstance, m: Element, n: Element) -> IdentityReport:
@@ -241,22 +252,102 @@ def harmonic_partial(inst: MonoidInstance, x, exact: bool = False):
     return total
 
 
-def _scan_heads(inst: MonoidInstance, bounds: list[int], cuts: list[int]):
-    """Yield (norm(M), M's pairs, bucket i, head of M) for every M with
-    norm(M) <= bounds[-1], in :meth:`MonoidInstance.scan_up_to` order.
+class _HeadScan:
+    """Every element M with norm(M) <= bounds[-1], each once, with its bucket
+    and its head: iterating yields int64 arrays (norm, bucket, head) in
+    chunks of at most _CHUNK_ITEMS / 8 elements, as some ten arrays of that
+    length are live per chunk.
 
     ``bounds`` is increasing, and M falls in bucket i, the least i with
     norm(M) <= bounds[i].  The merge walk in :func:`ramanujan_sum` stops at
     K's last atom, so csum(K, M) reads only the head of M: its pairs with
     atom id below ``cuts[i]``, one past the largest atom id of any K the
-    bucket is evaluated against (a prefix, as the pairs are id-sorted).
+    bucket is evaluated against.  ``cuts`` is nonincreasing.
+
+    The scan is breadth-first in the number of atoms: the children of M are
+    M + P for every atom P at or past M's last atom with norm(M) * N(P) <=
+    bound, so each element is reached once, from itself without its last
+    atom.  An element whose atoms all lie below cuts[0] is *pure*: it gets
+    an id in scan order, and the table keeps its parent's id and its last
+    atom, from which :meth:`elements` decodes it.  The head of M at a cut
+    c is M itself when M's last atom is below c, else the head of M's
+    parent at c, so it is always pure, and each element carries its head id
+    at every distinct cut.  The ids are positions, exact at any size.
     """
-    # As a 1-tuple, a cut sorts after every pair (id, e) with id < cut[0]
-    # and before the rest, so bisect finds the end of the head.
-    cuts = [(c,) for c in cuts]
-    for norm, path in inst.scan_up_to(bounds[-1]):
-        i = bisect_left(bounds, norm)
-        yield norm, path, i, path[: bisect_left(path, cuts[i])]
+
+    def __init__(self, inst: MonoidInstance, bounds: list[int], cuts: list[int]):
+        self.inst, self.bound = inst, bounds[-1]
+        self._bounds = np.array(bounds, np.int64)
+        levels = sorted(set(cuts), reverse=True)
+        self._cuts = np.array(levels, np.int64)[:, None]
+        self._level = np.array([levels.index(c) for c in cuts])  # bucket -> row of heads
+        self._table = np.array([[-1], [-1]], np.int64)  # parent id, last atom
+        self.n_pure = 1  # the identity, id 0
+        self._exps = {0: ()}
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        bound, step = self.bound, _CHUNK_ITEMS // 8
+        if bound < 1:
+            return
+        self.inst.extend(bound)
+        atoms = np.array(self.inst.norms[: bisect_right(self.inst.norms, bound)], np.int64)
+        # the frontier: norm, first atom a child may add, and heads of the
+        # elements of one level that have a child
+        norm, first = np.ones(1, np.int64), np.zeros(1, np.int64)
+        heads = np.zeros((len(self._cuts), 1), np.int64)
+        yield self._chunk(norm, heads)
+        if not atoms.size:
+            return
+        while norm.size:
+            count = np.searchsorted(atoms, bound // norm, side="right") - first
+            ends = np.cumsum(count)
+            level = []
+            for start in range(0, int(ends[-1]), step):
+                pos = np.arange(start, min(start + step, int(ends[-1])))
+                p = np.searchsorted(ends, pos, side="right")
+                atom = first[p] + pos - (ends[p] - count[p])
+                cnorm = norm[p] * atoms[atom]
+                pure = atom < self._cuts[0]
+                own = self.n_pure + np.cumsum(pure) - 1
+                cheads = np.where(atom < self._cuts, own, heads[:, p])
+                self._add(heads[0, p[pure]], atom[pure])
+                yield self._chunk(cnorm, cheads)
+                more = cnorm <= bound // atoms[atom]
+                level.append((cnorm[more], atom[more], cheads[:, more]))
+            norm, first, heads = (np.concatenate(a, axis=-1) for a in zip(*level))
+
+    def _chunk(self, norm, heads):
+        bucket = np.searchsorted(self._bounds, norm)
+        return norm, bucket, heads[self._level[bucket], np.arange(len(norm))]
+
+    def _add(self, parent, atom):
+        n, m = self.n_pure, self.n_pure + len(parent)
+        if m > self._table.shape[1]:
+            table = np.empty((2, max(m, 2 * n)), np.int64)
+            table[:, :n] = self._table[:, :n]
+            self._table = table
+        self._table[:, n:m] = parent, atom
+        self.n_pure = m
+
+    def elements(self, ids) -> list[Element]:
+        """The pure elements with these ids, each decoded once up its parents."""
+        memo, table = self._exps, self._table
+        out = []
+        for i in ids.tolist():
+            chain, j = [], i
+            while j not in memo:
+                chain.append(j)
+                j = int(table[0, j])
+            exps = memo[j]
+            for j in reversed(chain):
+                aid = int(table[1, j])
+                if exps and exps[-1][0] == aid:
+                    exps = exps[:-1] + ((aid, exps[-1][1] + 1),)
+                else:
+                    exps += ((aid, 1),)
+                memo[j] = exps
+            out.append(Element(memo[i]))
+        return out
 
 
 def residue_series(inst: MonoidInstance, k: Element, x, mode: str = "grouped") -> float:
@@ -273,11 +364,16 @@ def residue_series(inst: MonoidInstance, k: Element, x, mode: str = "grouped") -
 def residue_scan(inst: MonoidInstance, k: Element, points, mode: str = "grouped") -> list[float]:
     """[residue_series(inst, k, x, mode) for x in points], with one scan.
 
-    The direct mode scans to the largest point once, memoizing csum(K, M)
-    per head of M (:func:`_scan_heads`), and reads every point off one
-    running sum over the norms, so each value is added in the same order as
-    in a scan to that point alone.  The grouped mode evaluates the largest
-    point first, which sizes the harmonic table for all the rest.
+    The direct mode scans to the largest point once (:class:`_HeadScan`,
+    one bucket, cut one past K's last atom), evaluates csum(K, M) once per
+    distinct head of M in each chunk, sums it exactly per norm, and reads
+    every point off one running float sum over the norms, so each value is
+    added in the same order as in a scan to that point alone.  csum(K, M) is
+    the product of the csum(P**e, M) over the powers P**e in K, each at most
+    N(P)**(exponent of P in M) in size, so every partial product is at most
+    norm(M) <= x in int64 whatever N(K) is; a power with N(P)**(e - 1) > x
+    makes every term 0.  The grouped mode evaluates the largest point first,
+    which sizes the harmonic table for all the rest.
     """
     if k.is_zero:
         raise ValueError("k must be nonzero")
@@ -296,13 +392,15 @@ def residue_scan(inst: MonoidInstance, k: Element, points, mode: str = "grouped"
                 if mu:
                     totals[b] += mu * inst.harmonic_up_to(b // inst.norm(d))
     else:
-        per_norm = [0] * (ends[0] + 1)
-        rows = {}
-        for norm, _, _, head in _scan_heads(inst, [ends[0]], [1 + k.exps[-1][0]]):
-            row = rows.get(head)
-            if row is None:
-                row = rows[head] = ramanujan_sum(inst, k, Element(head))
-            per_norm[norm] += row
+        per_norm = np.zeros(ends[0] + 1, np.int64)
+        if all(inst.norms[aid] ** (e - 1) <= ends[0] for aid, e in k.exps):
+            powers = [Element((p,)) for p in k.exps]
+            scan = _HeadScan(inst, [ends[0]], [1 + k.exps[-1][0]])
+            for norm, _, head in scan:
+                heads, at = np.unique(head, return_inverse=True)
+                csum = csum_block(inst, powers, scan.elements(heads)).prod(axis=0)
+                np.add.at(per_norm, norm, csum[at])
+        per_norm = per_norm.tolist()
         total, start = 0.0, 1
         for b in reversed(ends):
             for n in range(start, b + 1):
@@ -383,12 +481,13 @@ def double_sums(inst: MonoidInstance, grid, direct_budget: int = 10**6) -> list[
     At every point with x * y within ``direct_budget`` the plain double sum
     is computed as well and must agree exactly; a mismatch raises for the
     last such point in grid order.  All those direct sums come from one
-    scan that enumerates each M once, up to the largest of their x: csum(K, M)
-    with norm(K) <= y reads M only on the atoms of norm <= y, so M's part on
-    the atoms up to the largest y it is summed against serves every smaller
-    y too (:func:`_direct_sums`).  The regrouped values are evaluated from
-    the last point back, so the first one sizes the counting tables for all
-    the rest.
+    numpy scan that enumerates each M once, up to the largest of their x,
+    into counts of heads: csum(K, M) with norm(K) <= y reads M only on the
+    atoms of norm <= y, so M's part on the atoms up to the largest y it is
+    summed against serves every smaller y too.  Each distinct head's row
+    over the K comes from :func:`csum_block` (:func:`_direct_sums`).  The
+    regrouped values are evaluated from the last point back, so the first
+    one sizes the counting tables for all the rest.
     """
     pts = [(x, y, _floor(x), _floor(y)) for x, y in grid]
     direct = _direct_sums(
@@ -421,59 +520,82 @@ def double_sums(inst: MonoidInstance, grid, direct_budget: int = 10**6) -> list[
 
 def _direct_sums(inst: MonoidInstance, points: set[tuple[int, int]]) -> dict[tuple[int, int], int]:
     """The plain double sum at every integer point (x, y) >= 0 of ``points``,
-    from one scan of the elements up to the largest x (or y).
+    from one scan of the elements M up to the largest x, against the K from
+    :meth:`MonoidInstance.enumerate_up_to` the largest y.
 
     The distinct x are sorted into bucket bounds x_0 < x_1 < ..., and M falls
     in the bucket i of the least x_i >= norm(M); it counts towards every
     point with x >= x_i.  Those points ask for K up to Y_i, the largest of
-    their y, so the bucket cuts the head of M at the atoms of norm <= Y_i
-    (:func:`_scan_heads`), which serves every smaller y as well.  The scan
-    counts the multiplicity of each (bucket, head); each distinct head then
-    gets one row of csum over the norm-sorted K, kept as prefix sums, so any
-    y reads one entry.  Larger x_i only ever have a smaller Y_i, so walking
-    the buckets in order computes each head's row first at its longest.
+    their y, so the bucket cuts the head of M at the atoms of norm <= Y_i,
+    which serves every smaller y as well.  :class:`_HeadScan` enumerates
+    every M once, and the multiplicity of each (bucket, head) is counted per
+    chunk.  Each distinct head then gets one row of csum over the
+    norm-sorted K from :func:`csum_block`, up to Y_i of the first bucket it
+    appears in (larger x_i only ever have a smaller Y_i), in chunks of at
+    most _CHUNK_ITEMS entries; its prefix sums along K give every y at once.
+
+    Every int64 value is at most A_i = #{M: norm(M) <= x_i} * (sum of N(K)
+    over norm(K) <= Y_i) for some bucket i, as it sums terms csum(K, M) of
+    such pairs, and |csum(K, M)| <= N(K); entries of a bucket past its Y_i
+    are never formed.  On the built-in instances at most tau(n) elements
+    have norm n, so #{elements of norm <= t} <= t * (1 + ln t) and A_i <= x
+    * y**2 * (1 + ln x) * (1 + ln y) at the point (x_i, Y_i): below 2**58
+    for every x * y <= 10**8.  The A_i are checked before any row is
+    evaluated, and OverflowError is raised past int64.
     """
     if not points:
         return {}
     xs = sorted({x for x, _ in points})
     ys = [sorted({y for px, y in points if px >= x}) for x in xs]
-    ymax = ys[0][-1]
-    inst.extend(ymax)
+    nb, yall = len(xs), ys[0]
+    ks = list(inst.enumerate_up_to(yall[-1]))
+    knorms = np.array([inst.norm(k) for k in ks], np.int64)
     # one past the last atom of norm <= Y_i: every K of norm <= Y_i has its
     # atoms below it, and every such atom is itself a K
-    bounds, cuts = xs, [bisect_right(inst.norms, yi[-1]) for yi in ys]
-    if ymax > xs[-1]:  # the K reach past every M: one more bucket, read as K only
-        bounds, cuts = xs + [ymax], cuts + [0]
-    counts = [{} for _ in bounds]
-    kpaths = []
-    for norm, path, i, head in _scan_heads(inst, bounds, cuts):
-        if norm <= ymax:
-            kpaths.append((norm, path))
-        bucket = counts[i]
-        bucket[head] = bucket.get(head, 0) + 1
-    kpaths.sort()
-    knorms = [n for n, _ in kpaths]
-    ks = [Element(path) for _, path in kpaths]
-    rows = {}
-    running = dict.fromkeys(ys[0], 0)  # sum over the buckets so far, per y
-    direct = {}
-    for i, x in enumerate(xs):
-        at = [bisect_right(knorms, y) for y in ys[i]]
-        part = [0] * len(at)
-        for head, mult in counts[i].items():
-            row = rows.get(head)
-            if row is None:
-                m = Element(head)
-                row = rows[head] = list(
-                    accumulate((ramanujan_sum(inst, k, m) for k in ks[: at[-1]]), initial=0)
-                )
-            for j, pos in enumerate(at):
-                part[j] += mult * row[pos]
-        for y, v in zip(ys[i], part):
-            running[y] += v
-            if (x, y) in points:
-                direct[x, y] = running[y]
-    return direct
+    scan = _HeadScan(inst, xs, [bisect_right(inst.norms, yi[-1]) for yi in ys])
+    keys, counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for _, bucket, head in scan:
+        key, count = np.unique(head * nb + bucket, return_counts=True)
+        keys.append(key)
+        counts.append(count)
+    key, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    mult = np.zeros(len(key), np.int64)
+    np.add.at(mult, inv, np.concatenate(counts))
+    head, bucket = np.divmod(key, nb)
+    at = np.searchsorted(knorms, yall, side="right")  # the K of norm <= y, per y
+    reach = np.searchsorted(knorms, [yi[-1] for yi in ys], side="right")  # per bucket
+    n_m = np.zeros(nb, np.int64)
+    np.add.at(n_m, bucket, mult)
+    sum_k = [0, *accumulate(knorms.tolist())]  # sum of N(K) over the first r K
+    a_i = [m * sum_k[r] for m, r in zip(accumulate(n_m.tolist()), reach.tolist())]
+    if max(a_i) > np.iinfo(np.int64).max:
+        raise OverflowError("the direct double sum may exceed the int64 range")
+    valid = np.greater_equal.outer([yi[-1] for yi in ys], yall)  # y <= Y_i, per bucket and y
+    # the distinct heads by decreasing reach, and the pairs in that order
+    heads, first, hpos = np.unique(head, return_index=True, return_inverse=True)
+    need = reach[bucket[first]]  # a head's row reaches Y_i of its first bucket
+    order = np.argsort(-need, kind="stable")
+    heads, need = heads[order], need[order]
+    rank = np.argsort(order)[hpos]  # each pair's head, as a position in that order
+    by = np.argsort(rank, kind="stable")
+    rank, bucket, mult = rank[by], bucket[by], mult[by]
+    part = np.zeros((nb, len(yall)), np.int64)  # per bucket and y
+    r0 = 0
+    while r0 < len(heads):
+        n_k = int(need[r0])
+        r1 = min(len(heads), r0 + max(1, _CHUNK_ITEMS // max(n_k, 1)))
+        prefix = np.zeros((n_k + 1, r1 - r0), np.int64)
+        np.cumsum(csum_block(inst, ks[:n_k], scan.elements(heads[r0:r1])), axis=0, out=prefix[1:])
+        nj = int(np.searchsorted(at, n_k, side="right"))  # the y within the rows
+        lo, hi = np.searchsorted(rank, [r0, r1])
+        rows = prefix[at[:nj]][:, rank[lo:hi] - r0].T * valid[bucket[lo:hi], :nj]
+        np.add.at(part[:, :nj], bucket[lo:hi], rows * mult[lo:hi, None])
+        r0 = r1
+    np.cumsum(part, axis=0, out=part)  # each point sums the buckets up to its x
+    col = {y: j for j, y in enumerate(yall)}
+    return {
+        (x, y): int(part[i, col[y]]) for i, x in enumerate(xs) for y in ys[i] if (x, y) in points
+    }
 
 
 def mobius_pair_profile(inst: MonoidInstance, ymax) -> list[int]:

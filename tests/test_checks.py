@@ -152,7 +152,7 @@ def test_divisibility_sums_match_definition(qi, q23):
         for m in elems:
             brute = [sum(csum_brute(inst, d, m) for d in inst.divisors(n)) for n in elems]
             rhs = [inst.norm(n) if n.leq(m) else 0 for n in elems]
-            assert downset.divisibility_sums(m) == brute == rhs
+            assert downset.divisibility_sums([m]) == [brute] == [rhs]
 
 
 @pytest.mark.parametrize("name", ["z", "q:-23"])
@@ -364,6 +364,28 @@ def test_sxy_cross_check_catches_a_fault(zint, monkeypatch, capsys):
     assert out.err.count("\n") == 1
 
 
+def test_sxy_cross_check_catches_a_fault_in_the_csum_block(zint, monkeypatch, capsys):
+    # the direct side reads csum only through the block kernel: one entry
+    # off by one, csum(2, 2), must fail the cross-check
+    real, two = csums.csum_block, factor_integer(zint, 2)
+
+    def faulty(inst, ks, ms):
+        block = real(inst, ks, ms)
+        for i, k in enumerate(ks):
+            for j, m in enumerate(ms):
+                block[i, j] += (k, m) == (two, two)
+        return block
+
+    monkeypatch.setattr(csums, "csum_block", faulty)
+    with pytest.raises(ArithmeticError, match="cross-check failed"):
+        csums.double_sums(zint, [(100, 5)])
+    code = cli.main(["sxy", "--instance", "z", "--x", "100", "--y", "5"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err.startswith("internal error: ArithmeticError: ")
+    assert out.err.count("\n") == 1
+
+
 def test_sxy_reports_the_last_failing_grid_point(zint, monkeypatch, capsys):
     # csum(2, 2) is off at every point with x >= 2 and y >= 2; the message
     # names the last of them in grid order
@@ -389,18 +411,16 @@ def test_sxy_reports_the_last_failing_grid_point(zint, monkeypatch, capsys):
 def test_scan_command_enumerates_once(monkeypatch, capsys, argv, largest):
     # the largest direct x of sxy's grid is 1e5 (1e5 * 10 is the budget);
     # the residue rows all come from the scan to the last point
-    from ramsums.monoid import MonoidInstance
-
     scans = []
-    scan = MonoidInstance.scan_up_to
+    scan = csums._HeadScan.__iter__
 
-    def counted(self, x):
-        scans.append([self, x, 0])
-        for item in scan(self, x):
-            scans[-1][2] += 1
-            yield item
+    def counted(self):
+        scans.append([self.inst, self.bound, 0])
+        for chunk in scan(self):
+            scans[-1][2] += len(chunk[0])
+            yield chunk
 
-    monkeypatch.setattr(MonoidInstance, "scan_up_to", counted)
+    monkeypatch.setattr(csums._HeadScan, "__iter__", counted)
     assert cli.main(argv) == 0 and capsys.readouterr().out
     assert len(scans) == 1
     inst, x, elements = scans[0]

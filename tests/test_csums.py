@@ -1,5 +1,7 @@
 import math
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from ramsums import (
     common_divisor_sum,
     convolve,
     csum_block,
+    csums,
     delta,
     density_fit,
     dirichlet_inverse,
@@ -557,6 +560,18 @@ def test_direct_sums_match_brute_force(zint, qi, q23):
         assert residue_series(inst, k, 300, mode="direct") == brute
 
 
+def test_direct_residue_past_int64_norms(zint):
+    # N(K) > 2**63: the product of the first 16 primes, whose terms stay
+    # below N(M) in size, and 2**70, whose every term vanishes below 2**69
+    primorial = z_el(zint, math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]))
+    per_norm = [0] * 3001
+    for m in zint.enumerate_up_to(3000):
+        per_norm[zint.norm(m)] += ramanujan_sum(zint, primorial, m)
+    brute = sum(v / n for n, v in enumerate(per_norm) if v)
+    assert residue_series(zint, primorial, 3000, mode="direct") == brute
+    assert residue_series(zint, z_el(zint, 2**70), 3000, mode="direct") == 0.0
+
+
 def test_double_sum_skips_direct_when_large(zint):
     rep = double_sum(zint, 10**4, 200, direct_budget=10**5)
     assert rep.direct is None
@@ -593,6 +608,51 @@ def test_double_sums_directs_match_brute_force(zint, qi, q23, q5):
             for x, y in grid
         ]
         assert [r.direct for r in double_sums(inst, grid)] == brute
+
+
+def _reference_head_counts(inst, bounds, cuts):
+    """Per bucket, the multiplicity of each head, one element at a time:
+    scan_up_to, then M's bucket by bisect on ``bounds`` and its head by
+    bisect on its id-sorted pairs."""
+    counts = [Counter() for _ in bounds]
+    for norm, path in inst.scan_up_to(bounds[-1]):
+        i = bisect_left(bounds, norm)
+        # as a 1-tuple, the cut sorts after every pair with a smaller id
+        counts[i][path[: bisect_left(path, (cuts[i],))]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name", ["zint", "qi", "q23", "q5"])
+def test_head_scan_matches_the_element_scan(request, name):
+    inst = request.getfixturevalue(name)
+    inst.extend(60)
+    cut = lambda y: bisect_right(inst.norms, y)
+    # nonincreasing cuts, a repeated cut, and a last bucket with cut 0,
+    # where every head is the identity
+    for bounds, cuts in (
+        ([1, 10, 100, 700, 2000], [cut(60), cut(60), cut(20), cut(7), 0]),
+        ([3000], [cut(30)]),
+        ([500, 501], [cut(2), cut(1)]),
+    ):
+        scan = csums._HeadScan(inst, bounds, cuts)
+        norms, pairs = Counter(), Counter()
+        for norm, bucket, head in scan:
+            norms.update(norm.tolist())
+            pairs.update(zip(bucket.tolist(), head.tolist()))
+        counts = [Counter() for _ in bounds]
+        for (i, h), mult in pairs.items():
+            counts[i][scan.elements(np.array([h]))[0].exps] += mult
+        assert counts == _reference_head_counts(inst, bounds, cuts)
+        assert norms == Counter(n for n, _ in inst.scan_up_to(bounds[-1]))
+    assert list(csums._HeadScan(inst, [0], [0])) == []
+    assert csums._direct_sums(inst, set()) == {}
+
+
+@pytest.mark.parametrize("name", ["zint", "q23"])
+def test_direct_sum_at_the_y_cap(request, name):
+    # the y cap of the CLI, where a fixed-width key over the heads would wrap
+    rep = double_sum(request.getfixturevalue(name), 1000, 1000)
+    assert rep.direct == rep.value
 
 
 @pytest.mark.parametrize("mode", ["grouped", "direct"])
