@@ -7,15 +7,12 @@ determined by (instance, bound/trials, seed).
 from __future__ import annotations
 
 import random
-from functools import cached_property
 
 import numpy as np
 
-from .arith import INT, ArithFn, mobius
+from .arith import INT, ArithFn
 from .csums import (
-    _CHUNK_ITEMS,
     DivisorDownset,
-    csum_block,
     divisor_sum_identity,
     first_argument_convolution,
     jordan_like_local_form,
@@ -51,79 +48,23 @@ def suite_th1(inst: MonoidInstance, bound: int) -> dict:
     return _report("th1", inst, bound=bound, checked=len(ks), failures=failures)
 
 
-class CsumBlock:
-    """csum(K, M) for every pair of ``elems``, rows K and columns M.
-
-    ``values`` is evaluated on its first read by :func:`csum_block`, in
-    chunks of rows whose int64 temporaries take at most _CHUNK_ITEMS * 8
-    bytes (256 KB).  By its Euler product |csum(K, M)| <= N(K), so the
-    n x n array (n = len(elems)) takes the narrowest signed dtype of at
-    least 16 bits that holds -max N(K): n**2 * itemsize bytes, 320 KB for Z
-    at bound 400 and 8 MB at bound 2000.  Each chunk is range-checked before
-    it is stored: a value outside that dtype raises OverflowError instead of
-    wrapping.  ``downset``, the :class:`DivisorDownset` over ``elems``, is
-    built on its first read and shared by th2 and holder.
-    """
-
-    def __init__(self, inst: MonoidInstance, elems):
-        self.inst = inst
-        self.elems = list(elems)
-        self.norms = [inst.norm(e) for e in self.elems]
-
-    @cached_property
-    def downset(self) -> DivisorDownset:
-        return DivisorDownset(self.inst, self.elems)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        elems, n = self.elems, len(self.elems)
-        dtype = np.promote_types(np.min_scalar_type(-max(self.norms, default=1)), np.int16)
-        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
-        out = np.empty((n, n), dtype)
-        step = max(1, _CHUNK_ITEMS // max(n, 1))
-        for start in range(0, n, step):
-            chunk = csum_block(self.inst, elems[start : start + step], elems)
-            bad = chunk[(chunk < lo) | (chunk > hi)]
-            if bad.size:
-                raise OverflowError(f"csum value {bad[0]} does not fit the {dtype} csum block")
-            out[start : start + step] = chunk
-        return out
-
-    def definition(self, i: int) -> dict[int, int]:
-        """csum(K, G) by its definition for K = ``elems[i]`` and every
-        divisor G of K, keyed by the position of G.
-
-        The weights N(D) * mu(K - D) are taken once over the divisor
-        positions of K, reading K - D off the reversed list (the divisors
-        are complement-symmetric); the value at G is their sum over the
-        divisor positions of G, which are exactly the D below both G and K.
-        """
-        div_idx, norms, elems = self.downset.div_idx, self.norms, self.elems
-        idx = div_idx[i]
-        weight = {d: norms[d] * mobius(elems[c]) for d, c in zip(idx, reversed(idx))}
-        return {g: sum(weight[d] for d in div_idx[g]) for g in idx}
-
-
-def suite_th2(inst: MonoidInstance, bound: int, block: CsumBlock | None = None) -> dict:
+def suite_th2(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict:
     """Divisibility identity for every pair (M, N) with norms <= bound.
 
-    Reads the csum block over the elements of norm <= bound (``block``, or
-    its own when None): n**2 * itemsize bytes, int16 up to bound 32768.
-    Row N of the left side is the int64 sum of the block rows of N's
-    divisors (:meth:`DivisorDownset.zeta_rows` over the block's shared
-    ``downset``); the right side is norm(N) at the columns of N's
-    multiples, else 0.  Every nonzero difference is a failure, listed
-    N-major.
+    ``downset`` holds the elements of norm <= bound; its csum block
+    ``values`` takes n**2 * itemsize bytes, int16 up to bound 32768.  Row N
+    of the left side is the int64 sum of the block rows of N's divisors
+    (:meth:`DivisorDownset.zeta_rows`); the right side is norm(N) at the
+    columns of N's multiples, else 0.  Every nonzero difference is a
+    failure, listed N-major.
     """
-    if block is None:
-        block = CsumBlock(inst, inst.enumerate_up_to(bound))
-    elems, norms, downset = block.elems, block.norms, block.downset
+    elems, norms = downset.elems, downset.norms
     multiples = [[] for _ in elems]
     for j, idx in enumerate(downset.div_idx):
         for i in idx:
             multiples[i].append(j)
     failures = []
-    for i, row in enumerate(downset.zeta_rows(block.values)):
+    for i, row in enumerate(downset.zeta_rows(downset.values)):
         row[multiples[i]] -= norms[i]
         failures += [f"m={elems[j].exps} n={elems[i].exps}" for j in np.flatnonzero(row)]
     return _report("th2", inst, bound=bound, checked=len(elems) ** 2, failures=failures)
@@ -173,24 +114,20 @@ def suite_apostol(inst: MonoidInstance, trials: int, seed: int) -> dict:
     )
 
 
-def suite_holder(
-    inst: MonoidInstance, bound: int, seed: int, block: CsumBlock | None = None
-) -> dict:
+def suite_holder(inst: MonoidInstance, bound: int, seed: int, downset: DivisorDownset) -> dict:
     """Fast evaluator against the definitional sum and the local closed form.
 
     csum(K, M) depends on M only through G = gcd(M, K), so the exhaustive
     layer runs over (K, G | K) for every K with norm <= bound; a seeded
     sample of full (K, M) pairs guards the gcd reduction itself.  The
-    definitional side is :meth:`CsumBlock.definition`, read off the divisor
-    positions of ``block`` (or its own when None); the block's ``values``
-    are never read.
+    definitional side is :meth:`DivisorDownset.definition`, read off the
+    divisor positions of ``downset``, the elements of norm <= bound; its
+    csum block ``values`` is never read.
     """
-    if block is None:
-        block = CsumBlock(inst, inst.enumerate_up_to(bound))
-    elems = block.elems
+    elems = downset.elems
 
     def check_k(i):
-        k, defined = elems[i], block.definition(i)
+        k, defined = elems[i], downset.definition(i)
         bad = []
         for g, brute in defined.items():
             m = elems[g]
@@ -203,7 +140,7 @@ def suite_holder(
     per_k = _pmap(check_k, range(len(elems)), 1)
     failures = [ctx for _, bad in per_k for ctx in bad]
     checked = sum(len(defined) for defined, _ in per_k)
-    index = block.downset.index
+    index = downset.index
     rng = random.Random(seed)
     sample = min(2000, len(elems) ** 2)
     for _ in range(sample):
@@ -222,25 +159,21 @@ def _trig_sums(k: int) -> np.ndarray:
     return k * np.fft.ifft(np.gcd(h, k) == 1)
 
 
-def suite_oracle(inst: MonoidInstance, bound: int, block: CsumBlock | None = None) -> dict:
+def suite_oracle(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict:
     """Divisor-sum evaluator against the trigonometric sums, integers only.
 
     The trigonometric sum over h coprime to k of exp(2 pi i m h / k) is the
     definitional sum; it depends on m only through m mod k, and all k
     residues come from one DFT (:func:`_trig_sums`).  Row k of the csum
-    block (``block``, or its own when None: bound**2 * itemsize bytes, int16
-    up to bound 32768) is compared with it for every m <= bound.  The
-    block's elements must be the integers 1..bound, else RuntimeError.
+    block ``downset.values`` (bound**2 * itemsize bytes, int16 up to bound
+    32768) is compared with it for every m <= bound.  The downset's elements
+    must be the integers 1..bound, else RuntimeError.
     """
-    if not inst.parses_integers:
-        raise ValueError("the oracle suite runs on the rational-integer instance")
-    if block is None:
-        block = CsumBlock(inst, inst.enumerate_up_to(bound))
-    if block.elems != [factor_integer(inst, m) for m in range(1, bound + 1)]:
+    if downset.elems != [factor_integer(inst, m) for m in range(1, bound + 1)]:
         raise RuntimeError(f"the csum block's rows are not the integers 1..{bound}")
     ms = np.arange(1, bound + 1)
     failures = []
-    for k, row in enumerate(block.values, 1):
+    for k, row in enumerate(downset.values, 1):
         bad = np.abs(_trig_sums(k)[ms % k] - row) >= 1e-6
         failures += [f"k={k} m={m}" for m in ms[bad].tolist()]
     return _report("oracle", inst, bound=bound, checked=bound * bound, failures=failures)
@@ -255,31 +188,34 @@ def run_suite(
 ) -> dict:
     """Run one suite, or every suite that applies to ``inst`` for "all".
 
-    "all" builds one csum block over the elements of norm <= bound
-    (:class:`CsumBlock`: n**2 * itemsize bytes, int16 up to bound 32768),
-    evaluated inside th2 and read again by oracle; th2 and holder share its
-    divisor downset.  It is dropped on return.
+    The suite name, and the oracle's instance, are checked first.  Every
+    suite but th1 and apostol then reads one :class:`DivisorDownset` over
+    the elements of norm <= bound, built here and dropped on return: th2
+    and holder its divisor positions, th2 and oracle its csum block (n**2 *
+    itemsize bytes, int16 up to bound 32768), evaluated once.
     """
+    if suite not in SUITES and suite != "all":
+        raise ValueError(f"unknown suite {suite!r}")
+    if suite == "oracle" and not inst.parses_integers:
+        raise ValueError("the oracle suite runs on the rational-integer instance")
     if suite == "th1":
         return suite_th1(inst, bound)
-    if suite == "th2":
-        return suite_th2(inst, bound)
     if suite == "apostol":
         return suite_apostol(inst, trials, seed)
+    downset = DivisorDownset(inst, inst.enumerate_up_to(bound))
+    if suite == "th2":
+        return suite_th2(inst, bound, downset)
     if suite == "holder":
-        return suite_holder(inst, bound, seed)
+        return suite_holder(inst, bound, seed, downset)
     if suite == "oracle":
-        return suite_oracle(inst, bound)
-    if suite == "all":
-        block = CsumBlock(inst, inst.enumerate_up_to(bound))
-        parts = [
-            suite_th1(inst, bound),
-            suite_th2(inst, bound, block),
-            suite_apostol(inst, trials, seed),
-            suite_holder(inst, bound, seed, block),
-        ]
-        if inst.parses_integers:
-            parts.append(suite_oracle(inst, bound, block))
-        total = sum(len(p["failures"]) for p in parts)
-        return _report("all", inst, suites=parts, failures_total=total)
-    raise ValueError(f"unknown suite {suite!r}")
+        return suite_oracle(inst, bound, downset)
+    parts = [
+        suite_th1(inst, bound),
+        suite_th2(inst, bound, downset),
+        suite_apostol(inst, trials, seed),
+        suite_holder(inst, bound, seed, downset),
+    ]
+    if inst.parses_integers:
+        parts.append(suite_oracle(inst, bound, downset))
+    total = sum(len(p["failures"]) for p in parts)
+    return _report("all", inst, suites=parts, failures_total=total)

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -149,19 +150,30 @@ def divisor_sum_identity(inst: MonoidInstance, k: Element) -> IdentityReport:
 
 
 class DivisorDownset:
-    """A divisor-closed list of elements with the divisor positions of each.
+    """Divisor-closed elements with their divisor positions and csum block.
 
     ``div_idx[i]`` lists the positions in ``elems`` of the divisors of
     ``elems[i]``, in :meth:`MonoidInstance.divisors` order, so the
     complement of the t-th divisor is the t-th from the end; ``index`` maps
-    each element to its position.  Memory is O(len(elems) + sum of tau(N));
-    no table over pairs is built.  Raises ValueError when a divisor of some
-    element is missing from ``elems``.
+    each element to its position and ``norms`` holds their norms.  These
+    take O(len(elems) + sum of tau(N)) memory and are built at once; a
+    divisor of some element missing from ``elems`` raises ValueError.
+
+    ``values``, csum(K, M) for every pair of ``elems`` with rows K and
+    columns M, is evaluated on its first read by :func:`csum_block`, in
+    chunks of rows whose int64 temporaries take at most _CHUNK_ITEMS * 8
+    bytes (256 KB).  By its Euler product |csum(K, M)| <= N(K), so the
+    n x n array (n = len(elems)) takes the narrowest signed dtype of at
+    least 16 bits that holds -max N(K): n**2 * itemsize bytes, 320 KB for Z
+    at bound 400 and 8 MB at bound 2000.  Each chunk is range-checked before
+    it is stored: a value outside that dtype raises OverflowError instead of
+    wrapping.
     """
 
     def __init__(self, inst: MonoidInstance, elems):
         self.inst = inst
         self.elems = list(elems)
+        self.norms = [inst.norm(e) for e in self.elems]
         self.index = index = {e: i for i, e in enumerate(self.elems)}
         try:
             self.div_idx = [[index[d] for d in inst.divisors(n)] for n in self.elems]
@@ -169,29 +181,42 @@ class DivisorDownset:
             missing = exc.args[0]
             raise ValueError(f"elements are not divisor-closed: {missing!r} is missing") from None
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        elems, n = self.elems, len(self.elems)
+        dtype = np.promote_types(np.min_scalar_type(-max(self.norms, default=1)), np.int16)
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        out = np.empty((n, n), dtype)
+        step = max(1, _CHUNK_ITEMS // max(n, 1))
+        for start in range(0, n, step):
+            chunk = csum_block(self.inst, elems[start : start + step], elems)
+            bad = chunk[(chunk < lo) | (chunk > hi)]
+            if bad.size:
+                raise OverflowError(f"csum value {bad[0]} does not fit the {dtype} csum block")
+            out[start : start + step] = chunk
+        return out
+
     def zeta_rows(self, block: np.ndarray) -> Iterator[np.ndarray]:
         """The zeta transform of ``block`` over the downset: for each N in
         ``elems``, in order, the int64 sum of ``block[i]`` over the positions
-        i of N's divisors.  ``block`` is indexed by ``elems`` along axis 0."""
+        i of N's divisors.  ``block`` is indexed by ``elems`` along axis 0;
+        over ``values`` these are the divisibility identity's left sides."""
         for idx in self.div_idx:
             yield block[idx].sum(axis=0, dtype=np.int64)
 
-    def divisibility_sums(self, ms) -> list[list[int]]:
-        """Left side of the divisibility identity against each M in ``ms``,
-        for every N in ``elems``: row j holds the sum of csum(D, ms[j]) over
-        the divisors D of N, for each N in order.
+    def definition(self, i: int) -> dict[int, int]:
+        """csum(K, G) by its definition for K = ``elems[i]`` and every
+        divisor G of K, keyed by the position of G.
 
-        The columns csum(D, M) over every D come from :func:`csum_block` in
-        chunks of at most _CHUNK_ITEMS entries, summed per N by
-        :meth:`zeta_rows`."""
-        ms, n = list(ms), len(self.elems)
-        step = max(1, _CHUNK_ITEMS // max(n, 1))
-        out = []
-        for start in range(0, len(ms), step):
-            cols = csum_block(self.inst, self.elems, ms[start : start + step])
-            sums = np.array(list(self.zeta_rows(cols))).reshape(n, -1)
-            out += sums.T.tolist()
-        return out
+        The weights N(D) * mu(K - D) are taken once over the divisor
+        positions of K, reading K - D off the reversed list (the divisors
+        are complement-symmetric); the value at G is their sum over the
+        divisor positions of G, which are exactly the D below both G and K.
+        """
+        div_idx, norms, elems = self.div_idx, self.norms, self.elems
+        idx = div_idx[i]
+        weight = {d: norms[d] * mobius(elems[c]) for d, c in zip(idx, reversed(idx))}
+        return {g: sum(weight[d] for d in div_idx[g]) for g in idx}
 
 
 def divisibility_identity(inst: MonoidInstance, m: Element, n: Element) -> IdentityReport:
@@ -372,8 +397,15 @@ def residue_scan(inst: MonoidInstance, k: Element, points, mode: str = "grouped"
     the product of the csum(P**e, M) over the powers P**e in K, each at most
     N(P)**(exponent of P in M) in size, so every partial product is at most
     norm(M) <= x in int64 whatever N(K) is; a power with N(P)**(e - 1) > x
-    makes every term 0.  The grouped mode evaluates the largest point first,
-    which sizes the harmonic table for all the rest.
+    makes every term 0.  The float sum reads the per-norm sums in slices of
+    at most _CHUNK_ITEMS norms, each taking the carry into its first
+    quotient before its cumulative sum: the left-to-right sum term by term,
+    as a norm without elements adds +0.0.  Each quotient rounds as Python's
+    int / int does, for both operands are exact floats: at most tau(n)
+    elements have norm n on the built-in instances and |csum(K, M)| <=
+    norm(M), so |sum| <= tau(n) * n < 2**53 for every n <= 10**12.  The
+    grouped mode evaluates the largest point first, which sizes the
+    harmonic table for all the rest.
     """
     if k.is_zero:
         raise ValueError("k must be nonzero")
@@ -400,12 +432,13 @@ def residue_scan(inst: MonoidInstance, k: Element, points, mode: str = "grouped"
                 heads, at = np.unique(head, return_inverse=True)
                 csum = csum_block(inst, powers, scan.elements(heads)).prod(axis=0)
                 np.add.at(per_norm, norm, csum[at])
-        per_norm = per_norm.tolist()
         total, start = 0.0, 1
         for b in reversed(ends):
-            for n in range(start, b + 1):
-                if per_norm[n]:
-                    total += per_norm[n] / n
+            for lo in range(start, b + 1, _CHUNK_ITEMS):
+                hi = min(lo + _CHUNK_ITEMS, b + 1)
+                run = per_norm[lo:hi] / np.arange(lo, hi)
+                run[0] += total
+                total = float(np.cumsum(run, out=run)[-1])
             totals[b], start = total, b + 1
     return [totals.get(b, 0.0) for b in bs]
 

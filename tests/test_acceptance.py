@@ -97,13 +97,12 @@ def test_criterion_03_divisibility_identity(zint, qi, q23, q2):
     failures = 0
     checked = 0
     for inst in (zint, qi, q23, q2):
-        elems = list(inst.enumerate_up_to(300))
-        downset = DivisorDownset(inst, elems)
-        norms = [inst.norm(n) for n in elems]
-        for m, lhs in zip(elems, downset.divisibility_sums(elems)):
-            rhs = [nn if n.leq(m) else 0 for n, nn in zip(elems, norms)]
+        downset = DivisorDownset(inst, inst.enumerate_up_to(300))
+        elems, norms = downset.elems, downset.norms
+        for n, nn, lhs in zip(elems, norms, downset.zeta_rows(downset.values)):
+            rhs = [nn if n.leq(m) else 0 for m in elems]
             checked += len(elems)
-            failures += sum(a != b for a, b in zip(lhs, rhs))
+            failures += sum(a != b for a, b in zip(lhs.tolist(), rhs))
     _verdict(
         3,
         "divisibility identity, exact, all pairs with norms <= 300",

@@ -12,6 +12,7 @@ from ramsums import (
     DivisorDownset,
     Element,
     IdentityReport,
+    MonoidInstance,
     cli,
     common_divisor_sum,
     csums,
@@ -35,7 +36,7 @@ def _patch_csum(monkeypatch, fn) -> None:
 
     for module in (csums, checks):
         monkeypatch.setattr(module, "ramanujan_sum", fn)
-        monkeypatch.setattr(module, "csum_block", block)
+    monkeypatch.setattr(csums, "csum_block", block)
 
 
 def _sabotage_csum(monkeypatch, k_bad: Element, m_bad: Element) -> None:
@@ -145,23 +146,54 @@ def test_checked_counts_match_independent_totals(name, disc, bound):
         assert (suite, report["checked"], report["failures"]) == (suite, total, [])
 
 
+@pytest.mark.parametrize("name", ["z", "q:-23"])
+@pytest.mark.parametrize("bound", [0, 1])
+def test_check_on_the_empty_and_the_one_element_downset(capsys, name, bound):
+    trials = 3
+    checked = {"th1": bound, "th2": bound, "holder": 2 * bound, "oracle": bound, "apostol": 2 * trials}
+    applies = [s for s in checks.SUITES if name == "z" or s != "oracle"]
+    for suite in applies + ["all"]:
+        code = cli.main([
+            "check", "--instance", name, "--suite", suite, "--bound", str(bound),
+            "--trials", str(trials),
+        ])
+        report = json.loads(capsys.readouterr().out)
+        parts = report["suites"] if suite == "all" else [report]
+        assert code == 0
+        assert [(p["suite"], p["checked"], p["failures"]) for p in parts] == [
+            (s, checked[s], []) for s in (applies if suite == "all" else [suite])
+        ]
+
+
+def test_run_suite_refuses_before_it_builds_a_downset(zint, q23, monkeypatch):
+    def refuse(self, bound):
+        raise AssertionError("enumerated the elements")
+
+    monkeypatch.setattr(MonoidInstance, "enumerate_up_to", refuse)
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        checks.run_suite(zint, "bogus")
+    with pytest.raises(ValueError, match="rational-integer instance"):
+        checks.run_suite(q23, "oracle")
+
+
 def test_divisibility_sums_match_definition(qi, q23):
     for inst in (qi, q23):
         elems = list(inst.enumerate_up_to(40))
         downset = DivisorDownset(inst, elems)
-        for m in elems:
+        lhs = np.array(list(downset.zeta_rows(downset.values)))
+        for j, m in enumerate(elems):
             brute = [sum(csum_brute(inst, d, m) for d in inst.divisors(n)) for n in elems]
             rhs = [inst.norm(n) if n.leq(m) else 0 for n in elems]
-            assert downset.divisibility_sums([m]) == [brute] == [rhs]
+            assert lhs[:, j].tolist() == brute == rhs
 
 
 @pytest.mark.parametrize("name", ["z", "q:-23"])
 def test_holder_definition_matches_common_divisor_sum(monkeypatch, name):
     inst = cli.make_instance(name)
-    block = checks.CsumBlock(inst, inst.enumerate_up_to(40))
-    elems, norm, mu = block.elems, norm_fn(inst), mobius_fn()
+    downset = DivisorDownset(inst, inst.enumerate_up_to(40))
+    elems, norm, mu = downset.elems, norm_fn(inst), mobius_fn()
     for i, k in enumerate(elems):
-        defined = block.definition(i)
+        defined = downset.definition(i)
         assert [elems[g] for g in defined] == inst.divisors(k)
         for g, value in defined.items():
             assert value == common_divisor_sum(inst, norm, mu, elems[g], k)
@@ -174,7 +206,7 @@ def test_holder_definition_matches_common_divisor_sum(monkeypatch, name):
         return common_divisor_sum(inst, norm, mu, m, k)
 
     monkeypatch.setattr(checks, "ramanujan_sum", definitional)
-    report = checks.suite_holder(inst, 40, SEED, block)
+    report = checks.suite_holder(inst, 40, SEED, downset)
     assert report["failures"] == [] and len(pairs) == report["checked"]
     assert any(m not in inst.divisors(k) for k, m in pairs)
 
@@ -201,7 +233,7 @@ def _count_csum_calls(monkeypatch) -> tuple[list, list]:
 
     for module in (csums, checks):
         monkeypatch.setattr(module, "ramanujan_sum", counted)
-        monkeypatch.setattr(module, "csum_block", recorded)
+    monkeypatch.setattr(csums, "csum_block", recorded)
     return calls, pairs
 
 
@@ -214,7 +246,7 @@ def test_th2_evaluates_each_pair_once(monkeypatch, name, bound):
     inst = cli.make_instance(name)
     elems = list(inst.enumerate_up_to(bound))
     calls, pairs = _count_csum_calls(monkeypatch)
-    report = checks.suite_th2(inst, bound)
+    report = checks.run_suite(inst, "th2", bound=bound)
     assert (report["failures"], len(calls)) == ([], 0)
     assert _each_pair_once(pairs, elems)
 
@@ -235,15 +267,15 @@ def test_suite_all_evaluates_the_block_once(monkeypatch, name, disc, bound):
     assert report["failures_total"] == 0
     assert _each_pair_once(pairs, elems)
     assert len(calls) == 2 * taus + min(2000, n * n) == {"z": 1122, "q:-23": 1812}[name]
-    # holder alone reads the block's divisor positions, never its values
-    block = checks.CsumBlock(inst, elems)
-    assert checks.suite_holder(inst, bound, 3, block)["failures"] == []
-    assert "values" not in vars(block) and len(pairs) == n * n
+    # holder alone reads the downset's divisor positions, never its block
+    downset = DivisorDownset(inst, elems)
+    assert checks.suite_holder(inst, bound, 3, downset)["failures"] == []
+    assert "values" not in vars(downset) and len(pairs) == n * n
 
 
 def test_oracle_alone_evaluates_every_pair_once(zint, monkeypatch):
     calls, pairs = _count_csum_calls(monkeypatch)
-    assert checks.suite_oracle(zint, BOUND)["failures"] == []
+    assert checks.run_suite(zint, "oracle", bound=BOUND)["failures"] == []
     assert len(calls) == 0
     assert _each_pair_once(pairs, list(zint.enumerate_up_to(BOUND)))
 
@@ -283,11 +315,11 @@ def test_block_suites_match_per_column_references(monkeypatch, name, bound, faul
     # a fault at (K, M) fails row N at column M for every multiple N of K
     for k, m in [(elems[2], elems[-1]), (elems[1], elems[6])][:faults]:
         _sabotage_csum(monkeypatch, k, m)
-    report = checks.suite_th2(inst, bound)
+    report = checks.run_suite(inst, "th2", bound=bound)
     assert report == _th2_reference(inst, bound)
     assert len(report["failures"]) >= faults
     if name == "z":
-        report = checks.suite_oracle(inst, bound)
+        report = checks.run_suite(inst, "oracle", bound=bound)
         assert report == _oracle_reference(inst, bound)
         assert len(report["failures"]) == faults
 
@@ -318,7 +350,7 @@ def test_th2_row_sums_do_not_wrap(zint, monkeypatch):
         monkeypatch,
         lambda inst, k, m: real(inst, k, m) + (offsets.get(k, 0) if m == four else 0),
     )
-    report = checks.suite_th2(zint, BOUND)
+    report = checks.run_suite(zint, "th2", bound=BOUND)
     assert report == _th2_reference(zint, BOUND)
     assert f"m={four.exps} n={four.exps}" in report["failures"]
 
@@ -326,9 +358,9 @@ def test_th2_row_sums_do_not_wrap(zint, monkeypatch):
 def test_oracle_rejects_a_block_out_of_integer_order(zint):
     elems = list(zint.enumerate_up_to(BOUND))
     elems[3], elems[4] = elems[4], elems[3]
-    block = checks.CsumBlock(zint, elems)
+    downset = DivisorDownset(zint, elems)
     with pytest.raises(RuntimeError, match="not the integers"):
-        checks.suite_oracle(zint, BOUND, block)
+        checks.suite_oracle(zint, BOUND, downset)
 
 
 def test_double_sum_evaluates_one_row_per_head(zint, monkeypatch):
@@ -435,7 +467,7 @@ def test_th2_lists_failures_n_major(zint, monkeypatch):
     z = lambda v: factor_integer(zint, v)
     for k, m in ((13, 7), (23, 29), (29, 23)):
         _sabotage_csum(monkeypatch, z(k), z(m))
-    report = checks.suite_th2(zint, BOUND)
+    report = checks.run_suite(zint, "th2", bound=BOUND)
     pairs = [(13, 7), (23, 29), (26, 7), (29, 23)]
     assert report["failures"] == [f"m={z(m).exps} n={z(n).exps}" for n, m in pairs]
 
@@ -453,7 +485,7 @@ def test_oracle_suite_reduces_m_mod_k(zint, monkeypatch):
     # sum is nonzero, i.e. when mu(k / gcd(k, m)) != 0 (Hoelder's formula);
     # m runs past k, so every residue value is read more than once
     _patch_csum(monkeypatch, lambda inst, k, m: 0)
-    report = checks.suite_oracle(zint, 24)
+    report = checks.run_suite(zint, "oracle", bound=24)
     expected = [
         f"k={k} m={m}"
         for k in range(1, 25)

@@ -572,6 +572,27 @@ def test_direct_residue_past_int64_norms(zint):
     assert residue_series(zint, z_el(zint, 2**70), 3000, mode="direct") == 0.0
 
 
+@pytest.mark.parametrize("name", ["z", "q:-23"])
+def test_direct_residue_scan_sums_per_norm_left_to_right(request, name):
+    # the running float sum reads the per-norm sums in slices of 2**15
+    # norms; the points sit on both sides of the first border and past the
+    # second, and every value must equal the sum term by term, which holds
+    # only when each slice takes the carry before it is summed
+    inst = request.getfixturevalue({"z": "zint", "q:-23": "q23"}[name])
+    k = z_el(inst, 2) if name == "z" else list(inst.enumerate_up_to(30))[-1]
+    points = [2**15 - 1, 2**15, 2**15 + 1, 70000.5, 100]
+    per_norm = [0] * 70001
+    for norm, path in inst.scan_up_to(70000):
+        per_norm[norm] += ramanujan_sum(inst, k, Element(path))
+    total, running = 0.0, [0.0]
+    for n in range(1, 70001):
+        if per_norm[n]:
+            total += per_norm[n] / n
+        running.append(total)
+    expected = [running[math.floor(x)] for x in points]
+    assert residue_scan(inst, k, points, mode="direct") == expected
+
+
 def test_double_sum_skips_direct_when_large(zint):
     rep = double_sum(zint, 10**4, 200, direct_budget=10**5)
     assert rep.direct is None
