@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .monoid import ZERO, Element, MonoidInstance
+from .monoid import DivisorLattice, Element, MonoidInstance
 
 INT = "int"
 RATIONAL = "rational"
@@ -101,34 +101,51 @@ def von_mangoldt_by_divisors(inst: MonoidInstance, e: Element) -> float:
 
 
 def convolve(inst: MonoidInstance, f: ArithFn, g: ArithFn, e: Element):
-    """(f * g)(e) = sum of f(D) g(e - D) over the divisors D of e."""
+    """(f * g)(e) = sum of f(D) g(e - D) over the divisors D of e.
+
+    f and g are evaluated once per divisor; g(e - D) is read at index
+    idx(e) - idx(D), and the terms are added in ``divisors(e)`` order (see
+    :class:`DivisorLattice`)."""
     _check_ring(f, g)
-    divs = inst.divisors(e)
-    return sum(f(d) * g(c) for d, c in zip(divs, reversed(divs)))
+    lat = inst.lattice(e)
+    fv, gv, top = list(map(f.fn, lat.elems)), list(map(g.fn, lat.elems)), len(lat.elems) - 1
+    return sum(fv[d] * gv[top - d] for d in lat.order)
 
 
-@dataclass(frozen=True)
+def _bilinear(lat: DivisorLattice, fv: list, gv: list, m: int, k: int):
+    """Sum of f(D) g(K - D) over the D below both M and K, all given by
+    index, f and g by their values in index order, in ``divisors`` order."""
+    return sum(fv[d] * gv[k - d] for d in lat.below(lat.meet(m, k)))
+
+
+@dataclass(frozen=True, eq=False)
 class DownsetTable:
-    """Memoized values on the divisors of a fixed root element."""
+    """Values on the divisors of a fixed root: ``values`` is a flat list in
+    index order, and an element is looked up through ``index``, its
+    :attr:`DivisorLattice.index` (KeyError off the divisors)."""
 
-    root: Element
-    values: dict = field(compare=False)
+    index: dict = field(repr=False)
+    values: list
     ring: str = INT
 
     def __getitem__(self, e: Element):
-        return self.values[e]
+        return self.values[self.index[e.exps]]
 
     def as_fn(self, name: str = "") -> ArithFn:
-        return ArithFn(self.values.__getitem__, self.ring, name)
+        return ArithFn(self.__getitem__, self.ring, name)
 
 
 def dirichlet_inverse(inst: MonoidInstance, f: ArithFn, root: Element) -> DownsetTable:
     """Table g on divisors(root) with (f * g)(d) = delta(d) for every d <= root.
 
     Requires f at the identity to be invertible in the value ring: +-1 for
-    exact integers, nonzero otherwise.
+    exact integers, nonzero otherwise.  f is evaluated once per divisor;
+    g(a) is solved for in ``divisors(root)`` order from g(a - d), read at
+    idx(a) - idx(d), and the terms are added in ``divisors(a)`` order.
     """
-    f0 = f(ZERO)
+    lat = inst.lattice(root)
+    fv = list(map(f.fn, lat.elems))
+    f0 = fv[0]
     if f.ring == INT:
         if f0 not in (1, -1):
             raise ValueError(f"f(0) = {f0!r} is not invertible over the integers")
@@ -137,15 +154,14 @@ def dirichlet_inverse(inst: MonoidInstance, f: ArithFn, root: Element) -> Downse
         if f0 == 0:
             raise ValueError("f(0) = 0 is not invertible")
         inv0 = _UNIT_ZERO[f.ring][0] / f0
-    values = {ZERO: inv0}
-    for a in inst.divisors(root)[1:]:
+    values = [inv0] * len(fv)
+    for a in lat.order[1:]:
         acc = None
-        divs = inst.divisors(a)
-        for d, c in zip(divs[1:], reversed(divs[:-1])):
-            term = f(d) * values[c]
+        for d in lat.below(a)[1:]:
+            term = fv[d] * values[a - d]
             acc = term if acc is None else acc + term
         values[a] = -inv0 * acc
-    return DownsetTable(root, values, f.ring)
+    return DownsetTable(lat.index, values, f.ring)
 
 
 def jordan_totient(inst: MonoidInstance, e: Element, s=1):

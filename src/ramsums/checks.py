@@ -10,12 +10,11 @@ import random
 
 import numpy as np
 
-from .arith import INT, ArithFn
+from .arith import DownsetTable, jordan_totient
 from .csums import (
     DivisorDownset,
     divisor_sum_identity,
     first_argument_convolution,
-    jordan_like_local_form,
     ramanujan_sum,
     second_argument_convolution,
 )
@@ -85,8 +84,13 @@ def _random_case(rng: random.Random, inst: MonoidInstance, pool: list[int]):
     root = Element(tuple((aid, rng.randint(1, 3)) for aid in aids))
     k = _random_divisor(rng, root)
     n = _random_divisor(rng, root)
-    divs = inst.divisors(root)
-    tables = [{d: rng.randint(-9, 9) for d in divs} for _ in range(3)]
+    lat = inst.lattice(root)
+    tables = []
+    for name in "fgh":
+        values = [0] * len(lat.order)
+        for i in lat.order:  # one draw per divisor, in divisors(root) order
+            values[i] = rng.randint(-9, 9)
+        tables.append(DownsetTable(lat.index, values).as_fn(name))
     return root, k, n, tables
 
 
@@ -98,10 +102,7 @@ def suite_apostol(inst: MonoidInstance, trials: int, seed: int) -> dict:
     cases = [_random_case(rng, inst, pool) for _ in range(trials)]
 
     def run(case):
-        root, k, n, (tf, tg, th) = case
-        f = ArithFn(tf.__getitem__, INT, "f")
-        g = ArithFn(tg.__getitem__, INT, "g")
-        h = ArithFn(th.__getitem__, INT, "h")
+        root, k, n, (f, g, h) = case
         ra = first_argument_convolution(inst, f, g, h, k, n)
         rb = second_argument_convolution(inst, f, g, h, k, n)
         if ra.passed and rb.passed:
@@ -114,6 +115,21 @@ def suite_apostol(inst: MonoidInstance, trials: int, seed: int) -> dict:
     )
 
 
+def _local_form(inst: MonoidInstance, k: Element, phi_k: int, g: Element) -> int:
+    """mu(K - G) * phi(K) / phi(K - G) for G <= K, exactly, from phi(K):
+    phi(K - G) is the product of phi(P**r) over the atoms P where G's
+    exponent falls short of K's by r >= 1."""
+    gexps = dict(g.exps)
+    mu = phi_rest = 1
+    for aid, e in k.exps:
+        r = e - gexps.get(aid, 0)
+        if r:
+            q = inst.norms[aid]
+            mu = -mu if r == 1 else 0
+            phi_rest *= q**r - q ** (r - 1)
+    return mu * phi_k // phi_rest
+
+
 def suite_holder(inst: MonoidInstance, bound: int, seed: int, downset: DivisorDownset) -> dict:
     """Fast evaluator against the definitional sum and the local closed form.
 
@@ -122,18 +138,20 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, downset: DivisorDo
     sample of full (K, M) pairs guards the gcd reduction itself.  The
     definitional side is :meth:`DivisorDownset.definition`, read off the
     divisor positions of ``downset``, the elements of norm <= bound; its
-    csum block ``values`` is never read.
+    csum block ``values`` is never read.  The closed form is evaluated per
+    K (:func:`_local_form`), with phi(K) taken once.
     """
     elems = downset.elems
 
     def check_k(i):
         k, defined = elems[i], downset.definition(i)
+        phi_k = jordan_totient(inst, k, 1)
         bad = []
         for g, brute in defined.items():
             m = elems[g]
             if ramanujan_sum(inst, k, m) != brute:
                 bad.append(f"definition k={k.exps} m={m.exps}")
-            if jordan_like_local_form(inst, k, m) != brute:
+            if _local_form(inst, k, phi_k, m) != brute:
                 bad.append(f"local-form k={k.exps} m={m.exps}")
         return defined, bad
 

@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .arith import ArithFn, _check_ring, convolve, jordan_totient, mobius, one, von_mangoldt
+from .arith import ArithFn, _bilinear, _check_ring, jordan_totient, mobius, one, von_mangoldt
 from .monoid import Element, MonoidInstance, _floor
 
 #: int64 entries per chunk of the array work below: 256 KB per temporary
@@ -234,15 +234,18 @@ def first_argument_convolution(
         sum_{D <= N} S_{f,g}(D, K) h(N - D)
             = sum_{D <= N, K} f(D) g(K - D) (1 * h)(N - D),
 
-    both sides evaluated exactly."""
+    both sides evaluated exactly.  f, g and h are evaluated once on each
+    divisor of lcm(K, N); every other value is read by index, A - D at
+    idx(A) - idx(D), and every sum adds its terms in ``divisors`` order
+    (see :class:`DivisorLattice`)."""
     ring = _check_ring(f, g, h)
-    unit = one(ring)
-    divs = inst.divisors(n)
-    lhs = sum(common_divisor_sum(inst, f, g, d, k) * h(c) for d, c in zip(divs, reversed(divs)))
-    rhs = sum(
-        f(d) * g(k.sub(d)) * convolve(inst, unit, h, n.sub(d))
-        for d in inst.divisors(n.gcd(k))
-    )
+    lat = inst.lattice(k.lcm(n))
+    fv, gv, hv, uv = (list(map(fn.fn, lat.elems)) for fn in (f, g, h, one(ring)))
+    ik, i_n = lat.index[k.exps], lat.index[n.exps]
+    # S_{f,g}(D, K) depends on D only through gcd(D, K), keyed in divisors order
+    s_fg = {gd: _bilinear(lat, fv, gv, gd, ik) for gd in lat.below(lat.meet(i_n, ik))}
+    lhs = sum(s_fg[lat.meet(d, ik)] * hv[i_n - d] for d in lat.below(i_n))
+    rhs = sum(fv[d] * gv[ik - d] * _bilinear(lat, uv, hv, i_n - d, i_n - d) for d in s_fg)
     return IdentityReport(lhs, rhs, lhs == rhs, context=f"k={k.exps} n={n.exps}")
 
 
@@ -251,11 +254,16 @@ def second_argument_convolution(
 ) -> IdentityReport:
     """Convolving the bilinear sum over its second argument:
 
-        sum_{D <= N} S_{f,g}(M, D) h(N - D) = sum_{D <= N, M} f(D) (g * h)(N - D)."""
+        sum_{D <= N} S_{f,g}(M, D) h(N - D) = sum_{D <= N, M} f(D) (g * h)(N - D),
+
+    evaluated by index on the divisors of lcm(M, N), as the first is."""
     _check_ring(f, g, h)
-    divs = inst.divisors(n)
-    lhs = sum(common_divisor_sum(inst, f, g, m, d) * h(c) for d, c in zip(divs, reversed(divs)))
-    rhs = sum(f(d) * convolve(inst, g, h, n.sub(d)) for d in inst.divisors(n.gcd(m)))
+    lat = inst.lattice(m.lcm(n))
+    fv, gv, hv = (list(map(fn.fn, lat.elems)) for fn in (f, g, h))
+    im, i_n = lat.index[m.exps], lat.index[n.exps]
+    lhs = sum(_bilinear(lat, fv, gv, im, d) * hv[i_n - d] for d in lat.below(i_n))
+    common = lat.below(lat.meet(i_n, im))
+    rhs = sum(fv[d] * _bilinear(lat, gv, hv, i_n - d, i_n - d) for d in common)
     return IdentityReport(lhs, rhs, lhs == rhs, context=f"m={m.exps} n={n.exps}")
 
 

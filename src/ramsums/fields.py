@@ -300,22 +300,26 @@ def quadratic_field(d: int) -> MonoidInstance:
                 return norm, _TAG[m.group(2)]
         return None
 
-    if d < 0:
+    # h and the regulator are computed on the first read of inst.invariants
+    # or inst.density, for they take time growing with |disc|
+    def invariants():
+        if d > 0:
+            return FieldInvariants(2, 0, regulator_real(disc), None, 2, disc)
         roots = 6 if disc == -3 else 4 if disc == -4 else 2
-        inv = FieldInvariants(0, 1, 1.0, class_number_imaginary(disc), roots, -disc)
-        c = residue_constant(inv)
-    else:
-        inv = FieldInvariants(2, 0, regulator_real(disc), None, 2, disc)
-        c = None  # requires the class number, which we only estimate
+        return FieldInvariants(0, 1, 1.0, class_number_imaginary(disc), roots, -disc)
+
+    def density():
+        # c of a real field requires the class number, which we only estimate
+        return DensityMeta(c=residue_constant(inst.invariants) if d < 0 else None, alpha=0.5)
 
     inst = MonoidInstance(
         f"Q(sqrt({d}))",
         source,
         LabelCodec(_ideal_label, parse),
-        DensityMeta(c=c, alpha=0.5),
+        density,
         counter=_ideal_counter(disc),
+        invariants=invariants,
     )
-    inst.invariants = inv
     inst.descriptor = desc
     return inst
 

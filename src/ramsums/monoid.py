@@ -18,6 +18,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Callable, Iterator
 
@@ -134,6 +135,12 @@ class Element:
                 pairs.append((a, min(m, e)))
         return Element(tuple(pairs))
 
+    def lcm(self, other: "Element") -> "Element":
+        merged = dict(self.exps)
+        for a, e in other.exps:
+            merged[a] = max(merged.get(a, 0), e)
+        return Element(tuple(merged.items()))
+
     def leq(self, other: "Element") -> bool:
         """Partial order: every exponent of self is <= the matching one."""
         theirs = dict(other.exps)
@@ -150,6 +157,68 @@ class Element:
 
 
 ZERO = Element()
+
+
+class DivisorLattice:
+    """The divisors of a root R in index order, with their norms.
+
+    A divisor D with digits d_i at R's atoms P_i**e_i has the mixed-radix
+    index idx(D) = sum of d_i * w_i, w_i = prod over j > i of (e_j + 1);
+    ``places`` holds the (w_i, e_i + 1) and ``index`` maps D.exps to
+    idx(D).  For D <= A <= R the complement A - D has index idx(A) -
+    idx(D).  ``order``, and :meth:`below` for a sub-root A, list indices by
+    (norm, index), which is ``divisors`` order, so sums over them round as
+    the Element loops did in inexact rings.
+    """
+
+    def __init__(self, root: Element, atom_norms: list[int]):
+        paths, norms = [()], [1]
+        for aid, emax in root.exps:
+            q, grown, grown_norms = atom_norms[aid], [], []
+            for path, n in zip(paths, norms):
+                grown.append(path)
+                grown_norms.append(n)
+                for d in range(1, emax + 1):
+                    n *= q
+                    grown.append(path + ((aid, d),))
+                    grown_norms.append(n)
+            paths, norms = grown, grown_norms
+        self.root, self.norms, self.elems = root, norms, list(map(Element, paths))
+        self.order = sorted(range(len(norms)), key=norms.__getitem__)
+        self._below: dict[int, list[int]] = {}
+
+    @cached_property
+    def places(self) -> list[tuple[int, int]]:
+        out = []
+        for _, emax in self.root.exps:
+            out = [(w * (emax + 1), r) for w, r in out] + [(1, emax + 1)]
+        return out
+
+    @cached_property
+    def index(self) -> dict[tuple, int]:
+        """idx(D) keyed by D.exps, for every divisor D of the root."""
+        return {d.exps: i for i, d in enumerate(self.elems)}
+
+    def meet(self, i: int, j: int) -> int:
+        """The index of the gcd of divisors i and j: digit by digit, the least."""
+        m = 0
+        for w, r in self.places:
+            a, b = i // w % r, j // w % r
+            m += (a if a < b else b) * w
+        return m
+
+    def below(self, i: int) -> list[int]:
+        """The divisors of divisor i by (norm, index): built in index order,
+        then sorted stably by norm."""
+        sub = self._below.get(i)
+        if sub is None:
+            sub = [0]
+            for w, r in self.places:
+                top = i // w % r * w
+                if top:
+                    sub = [j + t for j in sub for t in range(0, top + 1, w)]
+            self._below[i] = sub = sorted(sub, key=self.norms.__getitem__)
+        return sub
 
 
 @dataclass(frozen=True)
@@ -210,6 +279,10 @@ class MonoidInstance:
     <= b for every integer b >= 1; :meth:`count_up_to` calls it in place of
     the sieve.  It raises ValueError for a b it cannot reach.
 
+    ``density`` is a :class:`DensityMeta` or a function returning one, and
+    ``invariants`` a function returning the field invariants, or None; a
+    function is called on the first read of the attribute of that name.
+
     The table is append-only and extension is serialized behind a lock, so
     concurrent readers always see a consistent prefix.  All other state is
     counting tables, built on first use and rebuilt when a larger bound is
@@ -224,14 +297,15 @@ class MonoidInstance:
         name: str,
         atom_source: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
         labels: LabelCodec,
-        density: DensityMeta = DensityMeta(),
+        density: DensityMeta | Callable[[], DensityMeta] = DensityMeta(),
         parse_int: bool = False,
         counter: Callable[[int], int] | None = None,
+        invariants: Callable[[], object] | None = None,
     ):
         self.name = name
-        self.density = density
+        self._density = density
         self._counter = counter
-        self.invariants = None  # populated by number-field constructors
+        self._invariants = invariants
         self.descriptor = None
         self._source = atom_source
         self._labels = labels
@@ -241,6 +315,14 @@ class MonoidInstance:
         self._parse_int = parse_int
         self._lock = threading.Lock()  # guards extension and table swaps
         self._tables: dict[str, np.ndarray] = {}  # kind -> table, see _table
+
+    @cached_property
+    def density(self) -> DensityMeta:
+        return self._density() if callable(self._density) else self._density
+
+    @cached_property
+    def invariants(self):
+        return None if self._invariants is None else self._invariants()
 
     # -- atom table ---------------------------------------------------
 
@@ -332,27 +414,21 @@ class MonoidInstance:
             n *= norms[aid] ** exp
         return n
 
+    def lattice(self, e: Element) -> "DivisorLattice":
+        """The divisors of ``e`` in index order, with their norms."""
+        return DivisorLattice(e, self._norms)
+
     def divisors(self, e: Element) -> list[Element]:
-        """All elements below ``e``, sorted by (norm, exponent vector).
+        """All elements below ``e``, sorted by (norm, exponent vector): the
+        (norm, index)-sorted view of :meth:`lattice`.
 
         The list has exactly prod(exponent_i + 1) entries; norm ties are
         broken by the mixed-radix index of the exponent vector over e's atoms,
         first atom most significant.  D -> e - D reverses both keys, so the
         list is complement-symmetric: e - divs[i] is divs[-1 - i].
         """
-        items = [(1, 0, ())]
-        for aid, emax in e.exps:
-            q = self._norms[aid]
-            grown = []
-            for norm0, r0, path in items:
-                pw = 1
-                r0 *= emax + 1
-                for d in range(emax + 1):
-                    grown.append((norm0 * pw, r0 + d, path + ((aid, d),) if d else path))
-                    pw *= q
-            items = grown
-        items.sort()
-        return [Element(path) for _, _, path in items]
+        lat = self.lattice(e)
+        return [lat.elems[i] for i in lat.order]
 
     # -- enumeration and counting ---------------------------------------
 

@@ -6,7 +6,9 @@ whole divisor set, trigonometric sums use complex exponentials directly,
 ideal counts come from the quadratic-character convolution or from lattice
 points, fundamental units come from a brute-force search over v, and class
 numbers from Dirichlet's finite formulas with a character built on sympy's
-Jacobi symbol.
+Jacobi symbol.  The Dirichlet-algebra references walk ``divisors`` lists of
+Elements and subtract with ``Element.sub``, one sum per sub-root, adding
+their terms in ``divisors`` order.
 """
 
 import cmath
@@ -22,6 +24,58 @@ def csum_brute(inst, k, m):
     for d in inst.divisors(k.gcd(m)):
         total += inst.norm(d) * mobius(k.sub(d))
     return total
+
+
+def element_convolve(inst, f, g, e):
+    """(f * g)(e) over divisors(e), complements read off the reversed list."""
+    divs = inst.divisors(e)
+    return sum(f(d) * g(c) for d, c in zip(divs, reversed(divs)))
+
+
+def element_inverse(inst, f, root, unit):
+    """{D: g(D)} for D <= root with (f * g)(D) = delta(D), solved in divisors
+    order; g(0) = unit / f(0), the inverse in a field (rational, float or
+    complex values)."""
+    divs = inst.divisors(root)
+    inv0 = unit / f(divs[0])
+    values = {divs[0]: inv0}
+    for a in divs[1:]:
+        acc = None
+        below = inst.divisors(a)
+        for d, c in zip(below[1:], reversed(below[:-1])):
+            term = f(d) * values[c]
+            acc = term if acc is None else acc + term
+        values[a] = -inv0 * acc
+    return values
+
+
+def element_common_divisor_sum(inst, f, g, m, k):
+    """Sum of f(D) g(K - D) over D below both M and K."""
+    return sum(f(d) * g(k.sub(d)) for d in inst.divisors(m.gcd(k)))
+
+
+def element_first_argument(inst, f, g, h, k, n, unit):
+    """(lhs, rhs) of the first-argument convolution identity."""
+    divs = inst.divisors(n)
+    lhs = sum(
+        element_common_divisor_sum(inst, f, g, d, k) * h(c) for d, c in zip(divs, reversed(divs))
+    )
+    one = lambda e: unit
+    rhs = sum(
+        f(d) * g(k.sub(d)) * element_convolve(inst, one, h, n.sub(d))
+        for d in inst.divisors(n.gcd(k))
+    )
+    return lhs, rhs
+
+
+def element_second_argument(inst, f, g, h, m, n):
+    """(lhs, rhs) of the second-argument convolution identity."""
+    divs = inst.divisors(n)
+    lhs = sum(
+        element_common_divisor_sum(inst, f, g, m, d) * h(c) for d, c in zip(divs, reversed(divs))
+    )
+    rhs = sum(f(d) * element_convolve(inst, g, h, n.sub(d)) for d in inst.divisors(n.gcd(m)))
+    return lhs, rhs
 
 
 def trig_csum(k: int, m: int) -> complex:

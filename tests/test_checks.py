@@ -13,10 +13,13 @@ from ramsums import (
     Element,
     IdentityReport,
     MonoidInstance,
+    arith,
     cli,
     common_divisor_sum,
     csums,
     factor_integer,
+    jordan_like_local_form,
+    jordan_totient,
     mobius_fn,
     norm_fn,
 )
@@ -209,6 +212,73 @@ def test_holder_definition_matches_common_divisor_sum(monkeypatch, name):
     report = checks.suite_holder(inst, 40, SEED, downset)
     assert report["failures"] == [] and len(pairs) == report["checked"]
     assert any(m not in inst.divisors(k) for k, m in pairs)
+
+
+@pytest.mark.parametrize("name", ["z", "q:-1", "q:-23", "q:5"])
+def test_holder_local_form_matches_the_library_closed_form(name):
+    inst = cli.make_instance(name)
+    for k in inst.enumerate_up_to(200):
+        phi_k = jordan_totient(inst, k, 1)
+        for g in inst.divisors(k):
+            assert checks._local_form(inst, k, phi_k, g) == jordan_like_local_form(inst, k, g)
+
+
+@pytest.mark.parametrize("name,k_bad", [("z", "12"), ("q:-23", "p2a^2*p3b")])
+def test_holder_reports_exactly_the_faulty_totient(monkeypatch, name, k_bad):
+    """With phi(K) doubled for one K, the closed form is wrong at every G | K
+    where csum(K, G) is nonzero, and nowhere else."""
+    inst = cli.make_instance(name)
+    bad = cli.parse_element(inst, k_bad)
+    real = checks.jordan_totient
+
+    def faulty(inst, e, s=1):
+        value = real(inst, e, s)
+        return 2 * value if e == bad else value
+
+    monkeypatch.setattr(checks, "jordan_totient", faulty)
+    report = checks.run_suite(inst, "holder", bound=BOUND, seed=SEED)
+    expected = [
+        f"local-form k={bad.exps} m={g.exps}"
+        for g in inst.divisors(bad)
+        if csum_brute(inst, bad, g) != 0
+    ]
+    assert 0 < len(expected) < len(inst.divisors(bad))
+    assert report["failures"] == expected
+
+
+def test_apostol_lists_divisors_at_most_once_per_case(zint, monkeypatch):
+    real, calls = MonoidInstance.divisors, []
+
+    def counted(self, e):
+        calls.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(MonoidInstance, "divisors", counted)
+    report = checks.suite_apostol(zint, 100, SEED)
+    assert report["failures"] == [] and len(calls) <= 100
+
+
+@pytest.mark.parametrize("name", ["z", "q:-23"])
+def test_holder_takes_each_totient_once(monkeypatch, name):
+    inst = cli.make_instance(name)
+    real, calls = arith.jordan_totient, []
+
+    def counted(inst, e, s=1):
+        calls.append(e)
+        return real(inst, e, s)
+
+    def refuse(*args):
+        raise AssertionError("jordan_like_local_form called")
+
+    for module in (arith, csums, checks):
+        if hasattr(module, "jordan_totient"):
+            monkeypatch.setattr(module, "jordan_totient", counted)
+    for module in (csums, checks):
+        if hasattr(module, "jordan_like_local_form"):
+            monkeypatch.setattr(module, "jordan_like_local_form", refuse)
+    report = checks.run_suite(inst, "holder", bound=60, seed=SEED)
+    n = len(list(inst.enumerate_up_to(60)))
+    assert report["failures"] == [] and 0 < len(calls) <= n
 
 
 def test_downset_rejects_a_list_that_is_not_divisor_closed(zint):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ramsums import cli
+from ramsums import cli, fields
 from ramsums.cli import format_element, make_instance, parse_element
 
 
@@ -335,6 +335,36 @@ def test_invariants_command_real_fields(capsys, d, unit):
     data = json.loads(out)
     assert data["class_number_exact"] is None and data["h_rounded"] == 1
     assert data["regulator"] == pytest.approx(math.log(unit), abs=1e-12)
+
+
+@pytest.mark.parametrize("d, k, m", [(-23, "p2a^2*p3b", "p2a*p3b"), (5, "p2*p5r^2", "p5r")])
+def test_field_invariants_are_computed_only_when_read(capsys, monkeypatch, d, k, m):
+    """h and the regulator are computed on the first read of the invariants
+    or the density; commands that read neither never compute them."""
+    inst = ["--instance", f"q:{d}"]
+    blind = [
+        ["count", *inst, "--x", "1000", "--scan"],
+        ["check", *inst, "--suite", "all", "--bound", "30", "--trials", "5"],
+        ["csum", *inst, "--k", k, "--m", m],
+        ["atoms", *inst, "--x", "100"],
+        ["table", *inst, "--x", "20", "--y", "10"],
+    ]
+    reading = [
+        ["invariants", *inst, "--x", "10000"],
+        ["residue", *inst, "--k", m, "--x", "1000"],
+        ["sxy", *inst, "--x", "1000", "--y", "5"],
+    ]
+    expected = [run(capsys, *argv) for argv in blind]
+    assert all(code == 0 for code, _, _ in expected)
+    assert all(run(capsys, *argv)[0] == 0 for argv in reading)
+
+    def refuse(disc):
+        raise AssertionError("field invariant computed")
+
+    monkeypatch.setattr(fields, "class_number_imaginary", refuse)
+    monkeypatch.setattr(fields, "regulator_real", refuse)
+    assert [run(capsys, *argv) for argv in blind] == expected
+    assert run(capsys, *reading[0])[0] == 3
 
 
 def test_caps(capsys):

@@ -9,9 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csum_brute, trig_csum
+from oracles import (
+    csum_brute,
+    element_convolve,
+    element_first_argument,
+    element_inverse,
+    element_second_argument,
+    trig_csum,
+)
 from ramsums import (
+    COMPLEX,
+    FLOAT,
     INT,
+    RATIONAL,
     ZERO,
     ArithFn,
     Element,
@@ -311,6 +321,38 @@ def test_convolution_identities_random(zint):
         n = Element(tuple((a, d) for a, e in root.exps if (d := rng.randint(0, e))))
         assert first_argument_convolution(zint, f, g, h, k, n).passed
         assert second_argument_convolution(zint, f, g, h, k, n).passed
+
+
+_DRAWS = {
+    FLOAT: lambda rng: rng.uniform(-9, 9),
+    COMPLEX: lambda rng: complex(rng.uniform(-9, 9), rng.uniform(-9, 9)),
+    RATIONAL: lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+}
+
+
+@pytest.mark.parametrize("ring", [FLOAT, COMPLEX, RATIONAL])
+@pytest.mark.parametrize("which", ["zint", "qi"])
+def test_index_evaluators_add_in_divisor_order(which, ring, request):
+    """The evaluators read values by index, but add every sum in divisors()
+    order: on float and complex tables, whose sums round differently in
+    another order, they equal the Element loops of the oracles exactly."""
+    inst = request.getfixturevalue(which)
+    rng, draw, unit = random.Random(17), _DRAWS[ring], one(ring)(ZERO)
+    inst.ensure_atom_count(8)
+    pool = [a.id for a in inst.atoms[:8]]
+    for _ in range(60):
+        root = _random_element(rng, inst, pool)
+        divs = inst.divisors(root)
+        tf, tg, th = ({e: draw(rng) or unit for e in divs} for _ in range(3))
+        f, g, h = (ArithFn(t.__getitem__, ring) for t in (tf, tg, th))
+        k, n = (Element(tuple((a, d) for a, e in root.exps if (d := rng.randint(0, e)))) for _ in "kn")
+        r = first_argument_convolution(inst, f, g, h, k, n)
+        assert (r.lhs, r.rhs) == element_first_argument(inst, f, g, h, k, n, unit)
+        r = second_argument_convolution(inst, f, g, h, k, n)
+        assert (r.lhs, r.rhs) == element_second_argument(inst, f, g, h, k, n)
+        assert convolve(inst, f, g, root) == element_convolve(inst, f, g, root)
+        table = dirichlet_inverse(inst, f, root)
+        assert {d: table[d] for d in divs} == element_inverse(inst, f, root, unit)
 
 
 # -- series and partial sums ---------------------------------------------
