@@ -27,10 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .arith import ArithFn, _bilinear, _check_ring, jordan_totient, mobius, one, von_mangoldt
-from .monoid import Element, MonoidInstance, _floor
-
-#: int64 entries per chunk of the array work below: 256 KB per temporary
-_CHUNK_ITEMS = 1 << 15
+from .monoid import _CHUNK_ITEMS, Element, MonoidInstance, _floor, _quotient_sums
 
 
 @dataclass(frozen=True)
@@ -271,7 +268,7 @@ def harmonic_partial(inst: MonoidInstance, x, exact: bool = False):
     """Sum of 1/norm over elements with norm <= x.
 
     Exact mode returns a Fraction (denominators grow fast; intended for
-    small x), otherwise a float from the cached prefix sums.
+    small x), otherwise the float :meth:`MonoidInstance.harmonic_up_to`.
     """
     if not exact:
         return inst.harmonic_up_to(x)
@@ -399,55 +396,47 @@ def residue_scan(inst: MonoidInstance, k: Element, points, mode: str = "grouped"
 
     The direct mode scans to the largest point once (:class:`_HeadScan`,
     one bucket, cut one past K's last atom), evaluates csum(K, M) once per
-    distinct head of M in each chunk, sums it exactly per norm, and reads
-    every point off one running float sum over the norms, so each value is
-    added in the same order as in a scan to that point alone.  csum(K, M) is
-    the product of the csum(P**e, M) over the powers P**e in K, each at most
-    N(P)**(exponent of P in M) in size, so every partial product is at most
-    norm(M) <= x in int64 whatever N(K) is; a power with N(P)**(e - 1) > x
-    makes every term 0.  The float sum reads the per-norm sums in slices of
-    at most _CHUNK_ITEMS norms, each taking the carry into its first
-    quotient before its cumulative sum: the left-to-right sum term by term,
-    as a norm without elements adds +0.0.  Each quotient rounds as Python's
-    int / int does, for both operands are exact floats: at most tau(n)
+    distinct head of M in each chunk, and sums it exactly per norm.
+    csum(K, M) is the product of the csum(P**e, M) over the powers P**e in
+    K, each at most N(P)**(exponent of P in M) in size, so every partial
+    product is at most norm(M) <= x in int64 whatever N(K) is; a power with
+    N(P)**(e - 1) > x makes every term 0.  Every point is then read off one
+    left-to-right float sum of per_norm[n] / n (:func:`monoid._quotient_sums`),
+    so each value is added in the same order as in a scan to that point
+    alone.  Each quotient rounds as Python's int / int does: at most tau(n)
     elements have norm n on the built-in instances and |csum(K, M)| <=
-    norm(M), so |sum| <= tau(n) * n < 2**53 for every n <= 10**12.  The
-    grouped mode evaluates the largest point first, which sizes the
-    harmonic table for all the rest.
+    norm(M), so |per_norm[n]| <= tau(n) * n < 2**53 for every n <= 10**12.
+    The grouped mode reads H(t) for every t = floor(x / norm(D)) with
+    mu(K - D) != 0 off one such sum over ``counts``, sized once to the
+    largest t, and adds the mu * H(t) of each point in ``divisors`` order.
     """
     if k.is_zero:
         raise ValueError("k must be nonzero")
     if mode not in ("grouped", "direct"):
         raise ValueError(f"unknown mode {mode!r}")
     bs = [_floor(x) for x in points]
-    ends = sorted({b for b in bs if b >= 1}, reverse=True)
+    ends = sorted({b for b in bs if b >= 1})
     if not ends:
         return [0.0] * len(bs)
-    totals = dict.fromkeys(ends, 0.0)
     if mode == "grouped":
         divs = inst.divisors(k)
+        terms = [(mu, inst.norm(d)) for d, c in zip(divs, reversed(divs)) if (mu := mobius(c))]
+        ts = sorted({b // nd for b in ends for _, nd in terms})
+        h = dict(zip(ts, _quotient_sums(inst.norm_counts(ts[-1]), ts)))
+        totals = dict.fromkeys(ends, 0.0)
         for b in ends:
-            for d, c in zip(divs, reversed(divs)):
-                mu = mobius(c)
-                if mu:
-                    totals[b] += mu * inst.harmonic_up_to(b // inst.norm(d))
+            for mu, nd in terms:
+                totals[b] += mu * h[b // nd]
     else:
-        per_norm = np.zeros(ends[0] + 1, np.int64)
-        if all(inst.norms[aid] ** (e - 1) <= ends[0] for aid, e in k.exps):
+        per_norm = np.zeros(ends[-1] + 1, np.int64)
+        if all(inst.norms[aid] ** (e - 1) <= ends[-1] for aid, e in k.exps):
             powers = [Element((p,)) for p in k.exps]
-            scan = _HeadScan(inst, [ends[0]], [1 + k.exps[-1][0]])
+            scan = _HeadScan(inst, [ends[-1]], [1 + k.exps[-1][0]])
             for norm, _, head in scan:
                 heads, at = np.unique(head, return_inverse=True)
                 csum = csum_block(inst, powers, scan.elements(heads)).prod(axis=0)
                 np.add.at(per_norm, norm, csum[at])
-        total, start = 0.0, 1
-        for b in reversed(ends):
-            for lo in range(start, b + 1, _CHUNK_ITEMS):
-                hi = min(lo + _CHUNK_ITEMS, b + 1)
-                run = per_norm[lo:hi] / np.arange(lo, hi)
-                run[0] += total
-                total = float(np.cumsum(run, out=run)[-1])
-            totals[b], start = total, b + 1
+        totals = dict(zip(ends, _quotient_sums(per_norm, ends)))
     return [totals.get(b, 0.0) for b in bs]
 
 
@@ -570,18 +559,17 @@ def _direct_sums(inst: MonoidInstance, points: set[tuple[int, int]]) -> dict[tup
     their y, so the bucket cuts the head of M at the atoms of norm <= Y_i,
     which serves every smaller y as well.  :class:`_HeadScan` enumerates
     every M once, and the multiplicity of each (bucket, head) is counted per
-    chunk.  Each distinct head then gets one row of csum over the
-    norm-sorted K from :func:`csum_block`, up to Y_i of the first bucket it
-    appears in (larger x_i only ever have a smaller Y_i), in chunks of at
-    most _CHUNK_ITEMS entries; its prefix sums along K give every y at once.
+    chunk.  Each distinct head then gets one row of csum over all the K
+    from :func:`csum_block`, in chunks of at most _CHUNK_ITEMS entries; its
+    prefix sums along K give every y, zeroed past the bucket's Y_i.
 
-    Every int64 value is at most A_i = #{M: norm(M) <= x_i} * (sum of N(K)
-    over norm(K) <= Y_i) for some bucket i, as it sums terms csum(K, M) of
-    such pairs, and |csum(K, M)| <= N(K); entries of a bucket past its Y_i
-    are never formed.  On the built-in instances at most tau(n) elements
-    have norm n, so #{elements of norm <= t} <= t * (1 + ln t) and A_i <= x
-    * y**2 * (1 + ln x) * (1 + ln y) at the point (x_i, Y_i): below 2**58
-    for every x * y <= 10**8.  The A_i are checked before any row is
+    As |csum(K, M)| <= N(K), a prefix entry is at most the sum of N(K)
+    over norm(K) <= max y.  Every product and sum formed is for some y <=
+    Y_i, so it is at most A_i = #{M: norm(M) <= x_i} * (sum of N(K) over
+    norm(K) <= Y_i).  On the built-in instances at most tau(n) elements
+    have norm n, so #{elements of norm <= t} <= t * (1 + ln t) and A_i <=
+    x * y**2 * (1 + ln x) * (1 + ln y) at (x_i, Y_i): below 2**58 for
+    every x * y <= 10**8.  These bounds are checked before any row is
     evaluated, and OverflowError is raised past int64.
     """
     if not points:
@@ -609,29 +597,20 @@ def _direct_sums(inst: MonoidInstance, points: set[tuple[int, int]]) -> dict[tup
     np.add.at(n_m, bucket, mult)
     sum_k = [0, *accumulate(knorms.tolist())]  # sum of N(K) over the first r K
     a_i = [m * sum_k[r] for m, r in zip(accumulate(n_m.tolist()), reach.tolist())]
-    if max(a_i) > np.iinfo(np.int64).max:
+    if max(*a_i, sum_k[-1]) > np.iinfo(np.int64).max:
         raise OverflowError("the direct double sum may exceed the int64 range")
     valid = np.greater_equal.outer([yi[-1] for yi in ys], yall)  # y <= Y_i, per bucket and y
-    # the distinct heads by decreasing reach, and the pairs in that order
-    heads, first, hpos = np.unique(head, return_index=True, return_inverse=True)
-    need = reach[bucket[first]]  # a head's row reaches Y_i of its first bucket
-    order = np.argsort(-need, kind="stable")
-    heads, need = heads[order], need[order]
-    rank = np.argsort(order)[hpos]  # each pair's head, as a position in that order
-    by = np.argsort(rank, kind="stable")
-    rank, bucket, mult = rank[by], bucket[by], mult[by]
+    # the keys are head-major, so each pair's head position is sorted
+    heads, hpos = np.unique(head, return_inverse=True)
     part = np.zeros((nb, len(yall)), np.int64)  # per bucket and y
-    r0 = 0
-    while r0 < len(heads):
-        n_k = int(need[r0])
-        r1 = min(len(heads), r0 + max(1, _CHUNK_ITEMS // max(n_k, 1)))
-        prefix = np.zeros((n_k + 1, r1 - r0), np.int64)
-        np.cumsum(csum_block(inst, ks[:n_k], scan.elements(heads[r0:r1])), axis=0, out=prefix[1:])
-        nj = int(np.searchsorted(at, n_k, side="right"))  # the y within the rows
-        lo, hi = np.searchsorted(rank, [r0, r1])
-        rows = prefix[at[:nj]][:, rank[lo:hi] - r0].T * valid[bucket[lo:hi], :nj]
-        np.add.at(part[:, :nj], bucket[lo:hi], rows * mult[lo:hi, None])
-        r0 = r1
+    step = max(1, _CHUNK_ITEMS // max(len(ks), 1))
+    for r0 in range(0, len(heads), step):
+        chunk = heads[r0 : r0 + step]
+        prefix = np.zeros((len(ks) + 1, len(chunk)), np.int64)
+        np.cumsum(csum_block(inst, ks, scan.elements(chunk)), axis=0, out=prefix[1:])
+        lo, hi = np.searchsorted(hpos, [r0, r0 + step])
+        rows = prefix[at][:, hpos[lo:hi] - r0].T * valid[bucket[lo:hi]]
+        np.add.at(part, bucket[lo:hi], rows * mult[lo:hi, None])
     np.cumsum(part, axis=0, out=part)  # each point sums the buckets up to its x
     col = {y: j for j, y in enumerate(yall)}
     return {

@@ -178,6 +178,10 @@ INERT, RAMIFIED, SPLIT_A, SPLIT_B = 0, 1, 2, 3
 _SUFFIX = {INERT: "", RAMIFIED: "r", SPLIT_A: "a", SPLIT_B: "b"}
 _TAG = {suffix: tag for tag, suffix in _SUFFIX.items()}
 
+#: Ceiling on |d| in :func:`quadratic_field`: trial division to sqrt(|d|)
+#: takes 0.14 s at 10**12 (Python 3.11, x86-64), and 4|d| fits int64.
+MAX_ABS_D = 10**12
+
 
 def split_prime(disc: int, p: int) -> SplittingRecord:
     """Behavior of the rational prime p in the field of discriminant disc."""
@@ -272,10 +276,12 @@ def quadratic_field(d: int) -> MonoidInstance:
     d = int(d)
     if d in (0, 1):
         raise ValueError("d must not be 0 or 1")
+    if abs(d) > MAX_ABS_D:
+        raise ValueError(f"|d| = {abs(d)} exceeds the limit {MAX_ABS_D}")
     if not _is_squarefree(abs(d)):
         raise ValueError(f"d must be squarefree, got {d}")
     disc = d if d % 4 == 1 else 4 * d
-    desc = QuadraticFieldDescriptor(d, disc, (2, 0) if d > 0 else (0, 2))
+    desc = QuadraticFieldDescriptor(d, disc, (2, 0) if d > 0 else (0, 1))
 
     def source(lo, hi):
         primes = _prime_array(hi)

@@ -64,6 +64,28 @@ MAX_EXTEND = 2 * 10**8
 #: sums far below 2**63.
 MAX_HYPERBOLA = 10**12
 
+#: int64 entries per chunk of the array work: 256 KB per temporary
+_CHUNK_ITEMS = 1 << 15
+
+
+def _quotient_sums(values, ends: list[int]) -> Iterator[float]:
+    """The float sum of values[n] / n over n = 1..b, left to right, at each b
+    of the increasing list ``ends`` (b >= 0, len(values) > ends[-1]).
+
+    Slices of _CHUNK_ITEMS quotients each add the carry into their first one
+    before their cumulative sum, which is the same sum term by term, as a +
+    b == b + a.  A quotient rounds as int / int does while |values[n]| < 2**53.
+    """
+    total, start = 0.0, 1
+    for b in ends:
+        for lo in range(start, b + 1, _CHUNK_ITEMS):
+            hi = min(lo + _CHUNK_ITEMS, b + 1)
+            run = values[lo:hi] / np.arange(lo, hi)
+            run[0] += total
+            total = float(np.cumsum(run, out=run)[-1])
+        yield total
+        start = b + 1
+
 
 class Element:
     """An exponent map atom-id -> positive exponent, stored canonically.
@@ -289,7 +311,7 @@ class MonoidInstance:
     requested; a table is only ever replaced by one covering a wider range
     with identical content on the shared indices.  Every query grows the
     tables it reads, so callers never pre-size them: asking for the largest
-    bound first builds each table once.
+    bound first builds each table once.  No float sum is cached.
     """
 
     def __init__(
@@ -482,9 +504,9 @@ class MonoidInstance:
         return int(self._table("prefix", b)[b])
 
     def harmonic_up_to(self, x) -> float:
-        """Sum of 1/norm over elements with norm <= x (float)."""
+        """Sum of 1/norm over elements with norm <= x (float), left to right."""
         b = _floor(x)
-        return float(self._table("harmonic", b)[b]) if b >= 1 else 0.0
+        return next(_quotient_sums(self.norm_counts(b), [b])) if b >= 1 else 0.0
 
     def mertens_up_to(self, x) -> int:
         """Signed squarefree count: sum of (-1)**degree over squarefree
@@ -499,7 +521,6 @@ class MonoidInstance:
         * ``counts``: int32 ``cnt[n]``, the elements of norm exactly n;
         * ``prefix``: cumulative ``cnt``, int32 while the total fits, else
           int64; :meth:`count_up_to` reads it only without a ``counter``;
-        * ``harmonic``: float64 cumulative ``cnt[n] / n``;
         * ``mertens``: int64 cumulative signed squarefree counts.
         """
         table = self._tables.get(kind)
@@ -509,17 +530,11 @@ class MonoidInstance:
             table = self._sieve(bound, squarefree=False)
         elif kind == "mertens":
             table = np.cumsum(self._sieve(bound, squarefree=True), dtype=np.int64)
-        elif kind == "prefix":
+        else:  # prefix
             cnt = self.norm_counts(bound)
             # int32 prefix sums when the total fits, without an int64 temporary
             wide = cnt.sum(dtype=np.int64) >= 2**31
             table = np.cumsum(cnt, dtype=np.int64 if wide else np.int32)
-        else:  # harmonic
-            cnt = self.norm_counts(bound)
-            table = np.empty(len(cnt))
-            table[0] = 0.0
-            np.divide(cnt[1:], np.arange(1, len(cnt), dtype=np.float64), out=table[1:])
-            np.cumsum(table, out=table)
         with self._lock:
             cached = self._tables.get(kind)
             if cached is None or len(table) > len(cached):

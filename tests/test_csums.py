@@ -727,6 +727,25 @@ def test_residue_scan_matches_one_point_at_a_time(zint, qi, mode):
         ]
 
 
+@pytest.mark.parametrize("d,spec", [(None, "360"), (-1, "p5a*p5b")])
+def test_grouped_residue_scan_caches_only_counts(d, spec):
+    # one counts table, sized to the largest quotient x // N(D) over the D
+    # with mu(K - D) != 0, and no float table
+    from ramsums import quadratic_field, rational_integers
+    from ramsums.cli import parse_element
+
+    inst = rational_integers() if d is None else quadratic_field(d)
+    k = parse_element(inst, spec)
+    x = 10**5
+    residue_scan(inst, k, [10, 1000, x, 500])
+    divs = inst.divisors(k)
+    t_max = max(x // inst.norm(dv) for dv, c in zip(divs, reversed(divs)) if mobius(c))
+    if d is None:
+        assert t_max == x // 12
+    assert list(inst._tables) == ["counts"]
+    assert len(inst._tables["counts"]) == t_max + 1
+
+
 def test_mobius_pair_identity(zint, qi):
     profile = mobius_pair_profile(zint, 200)
     assert all(v == 1 for v in profile[1:])

@@ -132,8 +132,37 @@ def test_quadratic_field_discriminants(qi, q23, q2):
     assert q23.descriptor.discriminant == -23
     assert q2.descriptor.discriminant == 8
     assert quadratic_field(3).descriptor.discriminant == 12
-    assert qi.descriptor.signature == (0, 2)
+    assert qi.descriptor.signature == (0, 1)
     assert q2.descriptor.signature == (2, 0)
+
+
+@pytest.mark.parametrize("d", [-1, -3, -23, 5, 2, 13])  # the fields of FIELD_D in test_monoid
+def test_signature_matches_the_invariants(d):
+    inst = quadratic_field(d)
+    desc, inv = inst.descriptor, inst.invariants
+    assert desc.signature == (inv.r1, inv.r2)
+    assert inv.r1 + 2 * inv.r2 == desc.degree
+
+
+def test_quadratic_field_rejects_a_huge_d_before_trial_division(monkeypatch, capsys):
+    from ramsums import cli, fields
+
+    def refuse(n):
+        raise AssertionError("the squarefree test started")
+
+    monkeypatch.setattr(fields, "_is_squarefree", refuse)
+    for d in (fields.MAX_ABS_D + 1, -fields.MAX_ABS_D - 1, 2**63 + 5, -(10**18) - 7):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            quadratic_field(d)
+    code = cli.main(["count", "--instance", "q:-1000000000000000007", "--x", "10"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.count("\n") == 1 and "exceeds the limit" in out.err
+
+
+def test_quadratic_field_accepts_a_large_d():
+    for d in (-1000000007, 10000000019):
+        assert quadratic_field(d).descriptor.d == d
 
 
 @pytest.mark.parametrize("which", ["qi", "q23", "q2"])

@@ -209,6 +209,22 @@ def test_harmonic_prefix_matches_direct(zint):
     assert math.isclose(zint.harmonic_up_to(20), direct, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("d", [None, -1, -23])
+def test_harmonic_up_to_is_the_left_to_right_sum(d):
+    # exact equality with a term-by-term float loop, on both sides of the
+    # 2**15-quotient slices of the sum
+    from ramsums import quadratic_field, rational_integers
+
+    inst = rational_integers() if d is None else quadratic_field(d)
+    ts = [1, 2**15 - 1, 2**15, 2**15 + 1, 70000]
+    cnt = inst.norm_counts(ts[-1]).tolist()
+    want, total = {}, 0.0
+    for n in range(1, ts[-1] + 1):
+        total += cnt[n] / n
+        want[n] = total
+    assert [inst.harmonic_up_to(t) for t in ts] == [want[t] for t in ts]
+
+
 def test_mertens_matches_bruteforce(zint, qi):
     from ramsums import mobius
 
