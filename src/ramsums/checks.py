@@ -11,6 +11,7 @@ import random
 import numpy as np
 
 from .arith import DownsetTable, jordan_totient
+from .cli import SUITES
 from .csums import (
     DivisorDownset,
     divisor_sum_identity,
@@ -19,8 +20,6 @@ from .csums import (
     second_argument_convolution,
 )
 from .monoid import Element, MonoidInstance
-
-SUITES = ("th1", "th2", "apostol", "holder", "oracle")
 
 
 def _pmap(fn, items, workers: int):

@@ -16,11 +16,15 @@ import math
 import re
 import sys
 
-from . import checks, csums, fields
+from . import fields
 from .monoid import ZERO, Element, MonoidInstance
 
 MAX_X = 10**7
 MAX_Y = 10**3
+
+#: The suites of ``check`` (``checks.SUITES``), here so that building the
+#: parser does not load the suites and numpy.
+SUITES = ("th1", "th2", "apostol", "holder", "oracle")
 
 
 class CLIError(Exception):
@@ -102,8 +106,11 @@ def _cell(v) -> str:
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CLIError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -175,6 +182,7 @@ def cmd_atoms(inst, args) -> int:
 
 
 def cmd_csum(inst, args) -> int:
+    from . import csums
     k = parse_element(inst, args.k)
     m = parse_element(inst, args.m)
     _write(str(csums.ramanujan_sum(inst, k, m)) + "\n", args.out)
@@ -182,6 +190,7 @@ def cmd_csum(inst, args) -> int:
 
 
 def cmd_table(inst, args) -> int:
+    from . import csums
     ks = list(inst.enumerate_up_to(args.y))
     ms = list(inst.enumerate_up_to(args.x))
     rows = [
@@ -194,6 +203,7 @@ def cmd_table(inst, args) -> int:
 
 
 def cmd_check(inst, args) -> int:
+    from . import checks
     report = checks.run_suite(
         inst, args.suite, bound=args.bound, trials=args.trials, seed=args.seed
     )
@@ -212,6 +222,7 @@ def cmd_count(inst, args) -> int:
 
 
 def cmd_residue(inst, args) -> int:
+    from . import csums
     k = parse_element(inst, args.k)
     if k.is_zero:
         raise CLIError("k must be a nonzero element")
@@ -228,6 +239,7 @@ def cmd_residue(inst, args) -> int:
 
 
 def cmd_sxy(inst, args) -> int:
+    from . import csums
     if args.scan:
         grid = [(x, y) for x in _scan_points(args.x) for y in (2, 5, 10, 20, 50) if y <= args.y]
     else:
@@ -305,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check", "run an identity or oracle suite")
     p.add_argument(
-        "--suite", default="all", choices=checks.SUITES + ("all",),
+        "--suite", default="all", choices=SUITES + ("all",),
         help="th1: divisor-sum identity, th2: divisibility identity, "
         "apostol: bilinear convolution identities, holder: closed form vs "
         "definition, oracle: trigonometric sums (Z only)",

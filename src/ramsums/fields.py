@@ -21,10 +21,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .monoid import MAX_HYPERBOLA, ZERO, DensityMeta, Element, LabelCodec, MonoidInstance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InconclusiveEstimateError(ValueError):
@@ -76,6 +78,7 @@ def sieve_primes(n: int) -> list[int]:
 
 def _prime_array(n: int) -> np.ndarray:
     """Primes <= n, ascending, as an int64 array."""
+    import numpy as np
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)
@@ -99,6 +102,7 @@ def rational_integers() -> MonoidInstance:
     """The positive integers under multiplication; atoms are the primes."""
 
     def source(lo, hi):
+        import numpy as np
         primes = _prime_array(hi)
         primes = primes[primes > lo]
         return primes, np.zeros(len(primes), dtype=np.int8)
@@ -182,6 +186,14 @@ _TAG = {suffix: tag for tag, suffix in _SUFFIX.items()}
 #: takes 0.14 s at 10**12 (Python 3.11, x86-64), and 4|d| fits int64.
 MAX_ABS_D = 10**12
 
+#: Ceiling on |disc| in :func:`class_number_imaginary` and
+#: :func:`regulator_real`, checked before their loops start.  The class number
+#: takes time linear in |disc|: 0.15 s at 10**7, 1.8 s at 10**8.  The
+#: regulator's time grows about as R**2.4, and R reaches a few sqrt(disc): the
+#: slowest of 16 fields near 10**8 took 1.4 s, one near 10**9 took 100 s
+#: (Python 3.11, x86-64).
+MAX_INVARIANT_DISC = 10**8
+
 
 def split_prime(disc: int, p: int) -> SplittingRecord:
     """Behavior of the rational prime p in the field of discriminant disc."""
@@ -199,6 +211,7 @@ def character_values(disc: int, n: np.ndarray) -> np.ndarray:
     For a fundamental discriminant disc, n -> (disc|n) is a character mod
     |disc|, so :func:`kronecker` runs once per distinct residue n mod |disc|.
     """
+    import numpy as np
     residues, inverse = np.unique(n % abs(disc), return_inverse=True)
     values = np.array([kronecker(disc, int(r)) for r in residues], dtype=np.int8)
     return values[inverse]
@@ -210,6 +223,7 @@ def _character_table(disc: int, n: int) -> np.ndarray:
     n -> (disc|n) is completely multiplicative, so it is evaluated at the
     primes below n alone and spread over the multiples of their powers.
     """
+    import numpy as np
     chi = np.ones(n, dtype=np.int8)
     chi[0] = 0
     primes = _prime_array(n - 1)
@@ -237,9 +251,10 @@ def _ideal_counter(disc: int):
     residues below min(|disc|, x + 1), once for the largest x asked.
     """
     period = abs(disc)
-    tables = [(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64))]  # chi[r], S[r], r < len
+    tables = [((), ())]  # chi[r], S[r], r < len, as numpy arrays once tabulated
 
     def count(x: int) -> int:
+        import numpy as np
         if x > MAX_HYPERBOLA:
             raise ValueError(f"x={x} exceeds the ideal-count limit {MAX_HYPERBOLA}")
         chi, S = tables[0]
@@ -284,6 +299,7 @@ def quadratic_field(d: int) -> MonoidInstance:
     desc = QuadraticFieldDescriptor(d, disc, (2, 0) if d > 0 else (0, 1))
 
     def source(lo, hi):
+        import numpy as np
         primes = _prime_array(hi)
         # norm p for ramified and split primes, p*p for inert ones
         primes = primes[(primes > lo) | (primes <= isqrt(hi))]
@@ -336,10 +352,13 @@ def class_number_imaginary(disc: int) -> int:
 
     Runs over the reduced forms (a, b, c) with b*b - 4*a*c = disc and
     0 <= b <= a <= c.  Each counts once if b = 0, b = a or a = c, and
-    otherwise twice, for itself and for (a, -b, c).
+    otherwise twice, for itself and for (a, -b, c).  Above |disc| =
+    MAX_INVARIANT_DISC it raises ValueError instead.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"need a negative discriminant = 0 or 1 mod 4, got {disc}")
+    if -disc > MAX_INVARIANT_DISC:
+        raise ValueError(f"|disc| = {-disc} exceeds the class-number limit {MAX_INVARIANT_DISC}")
     h = 0
     for a in range(1, isqrt(-disc // 3) + 1):
         for b in range(disc % 2, a + 1, 2):
@@ -392,9 +411,12 @@ def _log_surd(u: int, v: int, d: int, denom: int) -> float:
 
 
 def regulator_real(disc: int) -> float:
-    """Regulator log(epsilon) of the real quadratic field of discriminant disc."""
+    """Regulator log(epsilon) of the real quadratic field of discriminant disc;
+    ValueError above disc = MAX_INVARIANT_DISC."""
     if disc <= 0:
         raise ValueError("need a positive discriminant")
+    if disc > MAX_INVARIANT_DISC:
+        raise ValueError(f"disc = {disc} exceeds the regulator limit {MAX_INVARIANT_DISC}")
     d = disc if disc % 4 == 1 else disc // 4
     u, v, denom, _ = fundamental_unit(d)
     return _log_surd(u, v, d, denom)

@@ -20,9 +20,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,7 @@ def _quotient_sums(values, ends: list[int]) -> Iterator[float]:
     before their cumulative sum, which is the same sum term by term, as a +
     b == b + a.  A quotient rounds as int / int does while |values[n]| < 2**53.
     """
+    import numpy as np
     total, start = 0.0, 1
     for b in ends:
         for lo in range(start, b + 1, _CHUNK_ITEMS):
@@ -331,7 +333,7 @@ class MonoidInstance:
         self.descriptor = None
         self._source = atom_source
         self._labels = labels
-        self._tags = np.zeros(0, dtype=np.int8)
+        self._tags = ()  # int8 numpy array from the first extension on
         self._norms: list[int] = []
         self._hw = 1  # every atom with norm <= _hw is materialized
         self._parse_int = parse_int
@@ -368,6 +370,7 @@ class MonoidInstance:
             return
         if bound > MAX_EXTEND:
             raise ValueError(f"extension bound {bound} exceeds the limit {MAX_EXTEND}")
+        import numpy as np
         with self._lock:
             if bound <= self._hw:  # another thread got here first
                 return
@@ -386,7 +389,7 @@ class MonoidInstance:
                     label = self._labels.format(int(norms[dup[0]]), int(tags[dup[0]]))
                     raise ValueError(f"atom source produced duplicate label {label!r}")
             # tags first: readers take the list's length as the table's
-            self._tags = np.concatenate((self._tags, tags))
+            self._tags = np.concatenate((np.asarray(self._tags, dtype=np.int8), tags))
             self._norms.extend(norms.tolist())
             self._hw = bound
 
@@ -526,6 +529,7 @@ class MonoidInstance:
         table = self._tables.get(kind)
         if table is not None and bound < len(table):
             return table
+        import numpy as np
         if kind == "counts":
             table = self._sieve(bound, squarefree=False)
         elif kind == "mertens":
@@ -552,6 +556,7 @@ class MonoidInstance:
         atoms only.  The large atoms are therefore applied together, in one
         vectorized pass per cofactor m.
         """
+        import numpy as np
         self.extend(bound)
         norms = self._norms
         n_small = bisect_right(norms, isqrt(bound))

@@ -432,6 +432,13 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().splitlines()[-1] == "100,100,1"
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "counts.csv"
+    code, out, err = run(capsys, "count", "--x", "10", "--out", str(path))
+    assert (code, out) == (2, "") and not path.parent.exists()
+    assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+
 # -- README and parser agree ----------------------------------------------
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -441,6 +448,15 @@ def _subcommands():
     parser = cli.build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return parser, action.choices
+
+
+def test_check_suite_names_have_one_definition():
+    from ramsums import checks
+
+    _, subs = _subcommands()
+    suite = next(a for a in subs["check"]._actions if a.dest == "suite")
+    assert checks.SUITES is cli.SUITES
+    assert tuple(suite.choices) == checks.SUITES + ("all",)
 
 
 def test_readme_cli_lines_parse():

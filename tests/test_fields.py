@@ -165,6 +165,43 @@ def test_quadratic_field_accepts_a_large_d():
         assert quadratic_field(d).descriptor.d == d
 
 
+def test_field_invariants_refuse_a_large_disc_before_their_loops(monkeypatch, capsys):
+    """Above MAX_INVARIANT_DISC the class number and the regulator raise
+    ValueError, which the CLI reports in one line with exit 2, before their
+    loops start: the patched isqrt bounds h's loop, and fundamental_unit is
+    the regulator's loop."""
+    from ramsums import cli, fields
+
+    def isqrt(n):
+        if n > 10**6:
+            raise AssertionError("the class-number loop started")
+        return math.isqrt(n)
+
+    def fundamental_unit(d):
+        raise AssertionError("the regulator loop started")
+
+    monkeypatch.setattr(fields, "isqrt", isqrt)
+    monkeypatch.setattr(fields, "fundamental_unit", fundamental_unit)
+    limit = fields.MAX_INVARIANT_DISC
+    for routine, disc in ((class_number_imaginary, -99999995), (regulator_real, 4 * 24999999)):
+        assert abs(disc) <= limit  # a fundamental discriminant at the ceiling
+        with pytest.raises(AssertionError, match="loop started"):
+            routine(disc)
+    for routine, disc in ((class_number_imaginary, -100000007), (regulator_real, 100000001)):
+        with pytest.raises(ValueError, match=f"exceeds the .* limit {limit}"):
+            routine(disc)
+    for argv in (
+        ["invariants", "--instance", "q:-100000007"],
+        ["invariants", "--instance", "q:100000001"],
+        ["residue", "--instance", "q:-100000007", "--k", "p2a", "--x", "100"],
+        ["sxy", "--instance", "q:-100000007", "--x", "100", "--y", "5"],
+    ):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, ""), argv
+        assert out.err.count("\n") == 1 and "exceeds the" in out.err
+
+
 @pytest.mark.parametrize("which", ["qi", "q23", "q2"])
 def test_splitting_degree_sum(which, request):
     # sum of e*f over the ideals above p is the field degree 2
