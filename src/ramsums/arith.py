@@ -85,19 +85,20 @@ def von_mangoldt(inst: MonoidInstance, e: Element) -> float:
     return 0.0
 
 
+def _mobius_terms(inst: MonoidInstance, e: Element) -> list[tuple[int, int]]:
+    """[(mu(e - D), norm(D))] over the divisors D of e with e - D squarefree,
+    in ``divisors(e)`` order; e - D is read off the reversed divisor list."""
+    divs = inst.divisors(e)
+    return [(mu, inst.norm(d)) for d, c in zip(divs, reversed(divs)) if (mu := mobius(c))]
+
+
 def von_mangoldt_by_divisors(inst: MonoidInstance, e: Element) -> float:
     """Definitional evaluator: sum of mu(e - D) * log(norm(D)) over D <= e.
 
     Must agree with :func:`von_mangoldt`; kept separate so the two can be
     checked against each other.
     """
-    total = 0.0
-    divs = inst.divisors(e)
-    for d, c in zip(divs, reversed(divs)):
-        mu = mobius(c)
-        if mu:
-            total += mu * math.log(inst.norm(d))
-    return total
+    return sum((mu * math.log(nd) for mu, nd in _mobius_terms(inst, e)), 0.0)
 
 
 def convolve(inst: MonoidInstance, f: ArithFn, g: ArithFn, e: Element):

@@ -16,6 +16,7 @@ from .csums import (
     DivisorDownset,
     divisor_sum_identity,
     first_argument_convolution,
+    jordan_like_local_form,
     ramanujan_sum,
     second_argument_convolution,
 )
@@ -61,7 +62,7 @@ def suite_th2(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict
         for i in idx:
             multiples[i].append(j)
     failures = []
-    for i, row in enumerate(downset.zeta_rows(downset.values)):
+    for i, row in enumerate(downset.zeta_rows()):
         row[multiples[i]] -= norms[i]
         failures += [f"m={elems[j].exps} n={elems[i].exps}" for j in np.flatnonzero(row)]
     return _report("th2", inst, bound=bound, checked=len(elems) ** 2, failures=failures)
@@ -113,21 +114,6 @@ def suite_apostol(inst: MonoidInstance, trials: int, seed: int) -> dict:
     )
 
 
-def _local_form(inst: MonoidInstance, k: Element, phi_k: int, g: Element) -> int:
-    """mu(K - G) * phi(K) / phi(K - G) for G <= K, exactly, from phi(K):
-    phi(K - G) is the product of phi(P**r) over the atoms P where G's
-    exponent falls short of K's by r >= 1."""
-    gexps = dict(g.exps)
-    mu = phi_rest = 1
-    for aid, e in k.exps:
-        r = e - gexps.get(aid, 0)
-        if r:
-            q = inst.norms[aid]
-            mu = -mu if r == 1 else 0
-            phi_rest *= q**r - q ** (r - 1)
-    return mu * phi_k // phi_rest
-
-
 def suite_holder(inst: MonoidInstance, bound: int, seed: int, downset: DivisorDownset) -> dict:
     """Fast evaluator against the definitional sum and the local closed form.
 
@@ -136,8 +122,8 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, downset: DivisorDo
     sample of full (K, M) pairs guards the gcd reduction itself.  The
     definitional side is :meth:`DivisorDownset.definition`, read off the
     divisor positions of ``downset``, the elements of norm <= bound; its
-    csum block ``values`` is never read.  The closed form is evaluated per
-    K (:func:`_local_form`), with phi(K) taken once.
+    csum block ``values`` is never read.  The closed form is the library's
+    :func:`jordan_like_local_form`, given phi(K), which is taken once per K.
     """
     elems = downset.elems
 
@@ -149,7 +135,7 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, downset: DivisorDo
             m = elems[g]
             if ramanujan_sum(inst, k, m) != brute:
                 bad.append(f"definition k={k.exps} m={m.exps}")
-            if _local_form(inst, k, phi_k, m) != brute:
+            if jordan_like_local_form(inst, k, m, phi_k) != brute:
                 bad.append(f"local-form k={k.exps} m={m.exps}")
         return defined, bad
 

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 
@@ -113,6 +114,15 @@ def _write(text: str, out_path: str | None) -> None:
             raise CLIError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """CLIError unless ``path`` is a writable file or a new name in a
+    writable directory; it runs before any work and creates nothing."""
+    parent = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise CLIError(f"cannot write --out {path!r}: not a writable file in an existing directory")
 
 
 def emit_rows(header: list[str], rows: list[tuple], args: argparse.Namespace) -> None:
@@ -368,6 +378,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_bounds(args)
+        if args.out:
+            _check_out(args.out)
         inst = make_instance(args.instance)
         return COMMANDS[args.command](inst, args)
     except (CLIError, ValueError) as exc:

@@ -26,7 +26,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .arith import ArithFn, _bilinear, _check_ring, jordan_totient, mobius, one, von_mangoldt
+from .arith import ArithFn, _bilinear, _check_ring, _mobius_terms, jordan_totient, mobius, one
+from .arith import von_mangoldt
 from .monoid import _CHUNK_ITEMS, Element, MonoidInstance, _floor, _quotient_sums
 
 
@@ -122,15 +123,23 @@ def common_divisor_sum(inst: MonoidInstance, f: ArithFn, g: ArithFn, m: Element,
     return sum(f(d) * g(k.sub(d)) for d in inst.divisors(m.gcd(k)))
 
 
-def jordan_like_local_form(inst: MonoidInstance, k: Element, m: Element) -> int:
+def jordan_like_local_form(inst: MonoidInstance, k: Element, m: Element, phi_k=None) -> int:
     """Closed form mu(K - G) * phi(K) / phi(K - G) with G = gcd(M, K), where
-    phi is the order-1 totient.  Agrees with the divisor sum.
-
-    Total and exact: every atom norm is at least 2, so phi(K - G) >= 1, and
-    atom by atom the ratio is phi(P**k) where G takes the whole power P**k
-    of K, else norm(P)**g with g the exponent of P in G."""
-    rest = k.sub(k.gcd(m))
-    return mobius(rest) * jordan_totient(inst, k, 1) // jordan_totient(inst, rest, 1)
+    phi is the order-1 totient, and phi(K) is ``phi_k`` when given.  Agrees
+    with the divisor sum.  phi(K - G) is the product of phi(P**r) over the
+    atoms P**e of K with r = e - min(e, exponent of P in M) >= 1; every atom
+    norm is at least 2, so it is >= 1 and divides phi(K) exactly."""
+    mexps = dict(m.exps)
+    mu = phi_rest = 1
+    for aid, e in k.exps:
+        r = e - min(e, mexps.get(aid, 0))
+        if r:
+            q = inst.norms[aid]
+            mu = -mu if r == 1 else 0
+            phi_rest *= q**r - q ** (r - 1)
+    if phi_k is None:
+        phi_k = jordan_totient(inst, k, 1)
+    return mu * phi_k // phi_rest
 
 
 def divisor_sum_identity(inst: MonoidInstance, k: Element) -> IdentityReport:
@@ -193,13 +202,12 @@ class DivisorDownset:
             out[start : start + step] = chunk
         return out
 
-    def zeta_rows(self, block: np.ndarray) -> Iterator[np.ndarray]:
-        """The zeta transform of ``block`` over the downset: for each N in
-        ``elems``, in order, the int64 sum of ``block[i]`` over the positions
-        i of N's divisors.  ``block`` is indexed by ``elems`` along axis 0;
-        over ``values`` these are the divisibility identity's left sides."""
+    def zeta_rows(self) -> Iterator[np.ndarray]:
+        """The zeta transform of ``values``: for each N in ``elems``, in order,
+        the int64 sum of the rows of N's divisors, the divisibility identity's
+        left side at N."""
         for idx in self.div_idx:
-            yield block[idx].sum(axis=0, dtype=np.int64)
+            yield self.values[idx].sum(axis=0, dtype=np.int64)
 
     def definition(self, i: int) -> dict[int, int]:
         """csum(K, G) by its definition for K = ``elems[i]`` and every
@@ -419,14 +427,10 @@ def residue_scan(inst: MonoidInstance, k: Element, points, mode: str = "grouped"
     if not ends:
         return [0.0] * len(bs)
     if mode == "grouped":
-        divs = inst.divisors(k)
-        terms = [(mu, inst.norm(d)) for d, c in zip(divs, reversed(divs)) if (mu := mobius(c))]
+        terms = _mobius_terms(inst, k)
         ts = sorted({b // nd for b in ends for _, nd in terms})
         h = dict(zip(ts, _quotient_sums(inst.norm_counts(ts[-1]), ts)))
-        totals = dict.fromkeys(ends, 0.0)
-        for b in ends:
-            for mu, nd in terms:
-                totals[b] += mu * h[b // nd]
+        totals = {b: sum((mu * h[b // nd] for mu, nd in terms), 0.0) for b in ends}
     else:
         per_norm = np.zeros(ends[-1] + 1, np.int64)
         if all(inst.norms[aid] ** (e - 1) <= ends[-1] for aid, e in k.exps):
@@ -483,14 +487,7 @@ def fixed_k_partial(inst: MonoidInstance, k: Element, x) -> int:
     b = _floor(x)
     if b < 1:
         return 0
-    total = 0
-    divs = inst.divisors(k)
-    for d, c in zip(divs, reversed(divs)):
-        mu = mobius(c)
-        if mu:
-            nd = inst.norm(d)
-            total += nd * mu * inst.count_up_to(b // nd)
-    return total
+    return sum(nd * mu * inst.count_up_to(b // nd) for mu, nd in _mobius_terms(inst, k))
 
 
 def double_sum(inst: MonoidInstance, x, y, direct_budget: int = 10**6) -> DoubleSumReport:

@@ -378,6 +378,8 @@ def fundamental_unit(d: int) -> tuple[int, int, int, int]:
     (P0, Q0) = (1, 2) for d = 1 mod 4 and (0, 1) otherwise.  The first
     convergent p/q of w whose element (Q0*p - P0*q + q*sqrt(d)) / Q0 has
     norm +-1 is the unit; it is reduced to denom 1 when u and v are even.
+    The k-th convergent's element has norm (-1)**(k+1) * Q_(k+1) / Q0, so the
+    loop stops at Q == Q0, on small integers, and squares once, for eta.
     """
     if d <= 1:
         raise ValueError("d must be > 1")
@@ -393,13 +395,12 @@ def fundamental_unit(d: int) -> tuple[int, int, int, int]:
         a = (P + a0) // Q
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-        u, v = Q0 * p - P0 * q, q
-        t = u * u - d * v * v
-        if t in (Q0 * Q0, -Q0 * Q0):
-            break
         P = a * Q - P
         Q = (d - P * P) // Q
-    eta = t // (Q0 * Q0)
+        if Q == Q0:
+            break
+    u, v = Q0 * p - P0 * q, q
+    eta = (u * u - d * v * v) // (Q0 * Q0)
     if u % 2 == 0 and v % 2 == 0:
         return (u // 2, v // 2, 1, eta)
     return (u, v, Q0, eta)

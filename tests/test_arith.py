@@ -14,6 +14,7 @@ from ramsums import (
     ArithFn,
     Element,
     abel_sum,
+    arith,
     convolve,
     delta,
     dirichlet_inverse,
@@ -64,6 +65,22 @@ def test_von_mangoldt_examples(zint):
     assert math.isclose(
         von_mangoldt_by_divisors(zint, z_el(zint, 8)), math.log(2), abs_tol=1e-12
     )
+
+
+@pytest.mark.parametrize("which", ["zint", "qi", "q23", "q5"])
+def test_mobius_terms_match_a_walk_over_the_divisors(which, request):
+    """The (mu(K - D), norm(D)) list of the Möbius regroupings, against
+    complements taken with Element.sub, on every K of norm <= 500: these
+    include non-squarefree K and, in the quadratic fields, K holding both
+    atoms of a split pair (two distinct atoms of one norm)."""
+    inst = request.getfixturevalue(which)
+    ks = list(inst.enumerate_up_to(500))
+    assert any(e > 1 for k in ks for _, e in k.exps)
+    if which != "zint":
+        assert any(len({inst.norms[a] for a, _ in k.exps}) < len(k.exps) for k in ks)
+    for k in ks:
+        brute = [(mobius(k.sub(d)), inst.norm(d)) for d in inst.divisors(k)]
+        assert arith._mobius_terms(inst, k) == [(mu, n) for mu, n in brute if mu]
 
 
 @pytest.mark.parametrize("which", ["zint", "qi"])

@@ -183,7 +183,7 @@ def test_divisibility_sums_match_definition(qi, q23):
     for inst in (qi, q23):
         elems = list(inst.enumerate_up_to(40))
         downset = DivisorDownset(inst, elems)
-        lhs = np.array(list(downset.zeta_rows(downset.values)))
+        lhs = np.array(list(downset.zeta_rows()))
         for j, m in enumerate(elems):
             brute = [sum(csum_brute(inst, d, m) for d in inst.divisors(n)) for n in elems]
             rhs = [inst.norm(n) if n.leq(m) else 0 for n in elems]
@@ -216,11 +216,30 @@ def test_holder_definition_matches_common_divisor_sum(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["z", "q:-1", "q:-23", "q:5"])
 def test_holder_local_form_matches_the_library_closed_form(name):
+    """holder passes phi(K) to the library's closed form; given or taken
+    there, it gives the same value."""
     inst = cli.make_instance(name)
     for k in inst.enumerate_up_to(200):
         phi_k = jordan_totient(inst, k, 1)
         for g in inst.divisors(k):
-            assert checks._local_form(inst, k, phi_k, g) == jordan_like_local_form(inst, k, g)
+            assert jordan_like_local_form(inst, k, g, phi_k) == jordan_like_local_form(inst, k, g)
+
+
+@pytest.mark.parametrize("name,k_bad", [("z", "12"), ("q:-23", "p2a^2*p3b")])
+def test_holder_reports_exactly_the_faulty_local_form(monkeypatch, name, k_bad):
+    """With the closed form off by one for one K, holder reports the
+    local-form check at every G | K, and nothing else."""
+    inst = cli.make_instance(name)
+    bad = cli.parse_element(inst, k_bad)
+    real = checks.jordan_like_local_form
+
+    def faulty(inst, k, m, phi_k=None):
+        return real(inst, k, m, phi_k) + (k == bad)
+
+    monkeypatch.setattr(checks, "jordan_like_local_form", faulty)
+    report = checks.run_suite(inst, "holder", bound=BOUND, seed=SEED)
+    expected = [f"local-form k={bad.exps} m={g.exps}" for g in inst.divisors(bad)]
+    assert report["failures"] == expected
 
 
 @pytest.mark.parametrize("name,k_bad", [("z", "12"), ("q:-23", "p2a^2*p3b")])
@@ -267,15 +286,9 @@ def test_holder_takes_each_totient_once(monkeypatch, name):
         calls.append(e)
         return real(inst, e, s)
 
-    def refuse(*args):
-        raise AssertionError("jordan_like_local_form called")
-
     for module in (arith, csums, checks):
         if hasattr(module, "jordan_totient"):
             monkeypatch.setattr(module, "jordan_totient", counted)
-    for module in (csums, checks):
-        if hasattr(module, "jordan_like_local_form"):
-            monkeypatch.setattr(module, "jordan_like_local_form", refuse)
     report = checks.run_suite(inst, "holder", bound=60, seed=SEED)
     n = len(list(inst.enumerate_up_to(60)))
     assert report["failures"] == [] and 0 < len(calls) <= n

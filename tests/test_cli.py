@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ramsums import cli, fields
+from ramsums import MonoidInstance, cli, fields
 from ramsums.cli import format_element, make_instance, parse_element
 
 
@@ -432,11 +432,31 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().splitlines()[-1] == "100,100,1"
 
 
-def test_unwritable_out_exits_2(tmp_path, capsys):
-    path = tmp_path / "missing" / "counts.csv"
-    code, out, err = run(capsys, "count", "--x", "10", "--out", str(path))
-    assert (code, out) == (2, "") and not path.parent.exists()
-    assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    """--out is checked before the work: the count is never taken."""
+
+    def refuse(self, x):
+        raise AssertionError("count_up_to called")
+
+    monkeypatch.setattr(MonoidInstance, "count_up_to", refuse)
+    for path in (tmp_path / "missing" / "counts.csv", tmp_path):
+        code, out, err = run(capsys, "count", "--x", "10", "--out", str(path))
+        assert (code, out) == (2, "") and not (tmp_path / "missing").exists()
+        assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+
+def test_failed_command_leaves_out_as_it_found_it(tmp_path, capsys, monkeypatch):
+    def fail(self, x):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(MonoidInstance, "count_up_to", fail)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for path in (new, old):
+        code, out, err = run(capsys, "count", "--x", "10", "--out", str(path))
+        assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+    assert not new.exists() and old.read_text() == "kept\n"
 
 
 # -- README and parser agree ----------------------------------------------

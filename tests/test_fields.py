@@ -275,6 +275,14 @@ def test_fundamental_unit_norm_equation():
             assert u % 2 == 1 and v % 2 == 1 and d % 4 == 1
 
 
+def test_fundamental_unit_norm_equation_on_a_long_period():
+    # log of the unit is about 12308: its coordinates have some 17,700 bits
+    d = 99999971
+    u, v, denom, eta = fundamental_unit(d)
+    assert eta in (1, -1) and denom in (1, 2) and u.bit_length() > 17000
+    assert u * u - d * v * v == eta * denom * denom
+
+
 def test_fundamental_unit_half_integral_cases():
     # fields whose fundamental unit has denominator 2
     for d, (u, v) in {5: (1, 1), 13: (3, 1), 21: (5, 1), 61: (39, 5)}.items():
