@@ -171,12 +171,12 @@ def _largest_first(fn, points: list) -> list:
     """[fn(p) for p in points], evaluated from the last (largest) point
     back, so the first call grows the instance's tables for all the rest.
 
-    On the built-in instances the only table a ``count`` scan grows is the
-    character table of ``fields._ideal_counter``, min(|D|, x + 1) entries;
+    On the built-in instances the only tables a ``count`` scan grows are the
+    character tables of ``fields._ideal_counter``, min(|D|, x + 1) entries;
     z and q:-1 grow nothing.  ``count --instance q:-1000003 --x 1e7 --scan``
-    takes 0.41-0.45 s this way and 0.69-0.91 s in ascending order (2-core
+    takes 0.34-0.43 s this way and 0.57-0.78 s in ascending order (2-core
     x86-64, Python 3.11), with the same stdout, because ascending order
-    rebuilds the table at each larger point below |D|.
+    rebuilds the numpy table at each larger point below |D|.
     """
     return [fn(p) for p in reversed(points)][::-1]
 

@@ -187,12 +187,16 @@ _TAG = {suffix: tag for tag, suffix in _SUFFIX.items()}
 MAX_ABS_D = 10**12
 
 #: Ceiling on |disc| in :func:`class_number_imaginary` and
-#: :func:`regulator_real`, checked before their loops start.  The class number
-#: takes time linear in |disc|: 0.15 s at 10**7, 1.8 s at 10**8.  The
-#: regulator's time grows about as R**2.4, and R reaches a few sqrt(disc): the
-#: slowest of 16 fields near 10**8 took 1.4 s, one near 10**9 took 100 s
-#: (Python 3.11, x86-64).
+#: :func:`regulator_real`, checked before their loops start.  The class-number
+#: loop sets it: its time is linear in |disc|, 0.15-0.18 s at 10**7 and
+#: 1.3-1.8 s at 10**8.  The regulator's loop runs on small integers: the
+#: slowest of 484 fields near 10**8 took 0.07 s, and d = 1000000009 takes
+#: 0.5 s (Python 3.11, x86-64).
 MAX_INVARIANT_DISC = 10**8
+
+#: Largest table length min(|disc|, x + 1) and loop length isqrt(x) at which
+#: :func:`_ideal_counter` counts in Python lists instead of numpy arrays.
+LIST_COUNT_CAP = 2**14
 
 
 def split_prime(disc: int, p: int) -> SplittingRecord:
@@ -248,21 +252,43 @@ def _ideal_counter(disc: int):
 
     where S(t) = chi(1) + ... + chi(t) = S(t mod |disc|), as chi is a
     non-principal character mod |disc|.  chi and S are tabulated on the
-    residues below min(|disc|, x + 1), once for the largest x asked.
+    residues below n = min(|disc|, x + 1), once for the largest x asked.
+
+    When n and s are both at most LIST_COUNT_CAP = 2**14, the tables are
+    Python lists (chi by :func:`kronecker` on each residue) and the sums run
+    in Python ints, so counting on a small field never imports numpy; above
+    the cap they are numpy arrays.  In a fresh process, numpy's import
+    included, the list way took 0.014-0.018 s against 0.056-0.089 s at
+    n = s = 2**14 (2-core x86-64, Python 3.11, numpy 2.4).  Its kronecker
+    table falls behind between n = 2**15 and 2**16, its loops only past
+    s = 2**16.  Each way keeps its own tables: a scan grows the arrays
+    first, at its largest x, and under numpy's NEP 50 promotion int8 chi
+    times a Python int stays int8, so list sums over the arrays would
+    overflow.
     """
     period = abs(disc)
-    tables = [((), ())]  # chi[r], S[r], r < len, as numpy arrays once tabulated
+    lists = [((), ())]   # chi[r], S[r], r < len, as Python lists
+    arrays = [((), ())]  # the same as numpy arrays, for n or s above the cap
 
     def count(x: int) -> int:
-        import numpy as np
         if x > MAX_HYPERBOLA:
             raise ValueError(f"x={x} exceeds the ideal-count limit {MAX_HYPERBOLA}")
-        chi, S = tables[0]
-        if len(chi) < min(period, x + 1):
-            chi = _character_table(disc, min(period, x + 1))
+        n, s = min(period, x + 1), isqrt(x)
+        if max(n, s) <= LIST_COUNT_CAP:
+            chi, S = lists[0]
+            if len(chi) < n:
+                from itertools import accumulate
+                chi = [kronecker(disc, r) for r in range(n)]
+                S = list(accumulate(chi))  # chi(0) = 0: S[r] sums chi over 1..r
+                lists[0] = (chi, S)
+            head = sum([chi[d % period] * (x // d) for d in range(1, s + 1)])
+            return head + sum([S[x // d % period] for d in range(1, s + 1)]) - S[s % period] * s
+        import numpy as np
+        chi, S = arrays[0]
+        if len(chi) < n:
+            chi = _character_table(disc, n)
             S = np.cumsum(chi, dtype=np.int64)  # chi(0) = 0: S[r] sums chi over 1..r
-            tables[0] = (chi, S)
-        s = isqrt(x)
+            arrays[0] = (chi, S)
         d = np.arange(1, s + 1, dtype=np.int64)
         q = x // d
         head = int((chi[d % period] * q).sum())

@@ -278,6 +278,23 @@ def test_count_builds_no_table(capsys, monkeypatch):
     assert len(inst.atoms) == 0 and not inst._tables
 
 
+def test_count_scan_crosses_the_list_cap(capsys):
+    # the points above fields.LIST_COUNT_CAP count with numpy arrays first,
+    # then those below it with lists; the two must not share tables
+    code, out, err = run(capsys, "count", "--instance", "q:-1000003", "--x", "1e7", "--scan")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "x,count,count_over_x",
+        "10,3,0.3",
+        "100,36,0.36",
+        "1000,337,0.337",
+        "10000,3308,0.3308",
+        "100000,32972,0.32972",
+        "1000000,329420,0.32942",
+        "10000000,3299021,0.3299021",
+    ]
+
+
 def test_count_past_the_cap(capsys, monkeypatch):
     from oracles import lattice_ideal_count
 

@@ -34,6 +34,10 @@ cli.make_instance("q:-23")
 step("q:-23")
 cli.main(["count", "--instance", "q:-1", "--x", "1e7", "--scan", "--out", sys.argv[1]])
 step("count q:-1")
+cli.main(["invariants", "--instance", "q:-23", "--out", sys.argv[1]])
+step("invariants q:-23")
+cli.main(["count", "--instance", "q:-1000003", "--x", "1e7", "--out", sys.argv[1]])
+step("count q:-1000003")
 print(json.dumps(loaded))
 """
 
@@ -54,7 +58,9 @@ def test_commands_load_only_what_they_use(tmp_path):
         "parser": [],
         "count z": [],
         "q:-23": [],
-        "count q:-1": ["numpy"],
+        "count q:-1": [],
+        "invariants q:-23": [],
+        "count q:-1000003": ["numpy"],
     }
 
 

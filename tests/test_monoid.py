@@ -344,6 +344,38 @@ def test_declared_count_matches_lattice_points(disc, x):
     assert not inst._tables and not inst.norms
 
 
+def _around_the_list_cap(d):
+    """x on both sides of LIST_COUNT_CAP in s = isqrt(x) and, where |D|
+    passes it, in n = min(|D|, x + 1)."""
+    from ramsums.fields import LIST_COUNT_CAP as cap
+
+    xs = {1, 2, 10, 1000, cap - 1, cap, cap + 1, 10**6}
+    if abs(d) < 10**7:  # a table of n = |D| entries stays small past the s side
+        xs |= {cap * cap, (cap + 1) ** 2 - 1, (cap + 1) ** 2, 10**10}
+    return sorted(xs)
+
+
+@pytest.mark.parametrize("d", sorted(FIELD_D.values()) + [-1000003, -99999971])
+def test_list_and_numpy_counts_agree(d, monkeypatch):
+    from oracles import lattice_ideal_count
+
+    from ramsums import fields, quadratic_field
+
+    xs = _around_the_list_cap(d)
+    count = quadratic_field(d).count_up_to
+    # largest first, as a scan runs: the numpy tables exist before the list ones
+    got = [count(x) for x in reversed(xs)][::-1]
+    again = [count(x) for x in xs]
+    del count  # frees the tables before the reference builds its own
+    monkeypatch.setattr(fields, "LIST_COUNT_CAP", -1)  # numpy at every x
+    want = [quadratic_field(d).count_up_to(x) for x in xs]
+    assert got == again == want
+    assert all(type(c) is int for c in got + again)
+    disc = d if d % 4 == 1 else 4 * d
+    if disc in (-4, -3):
+        assert got == [lattice_ideal_count(x, disc) for x in xs]
+
+
 def test_declared_count_ceiling():
     from ramsums.monoid import MAX_HYPERBOLA
 
