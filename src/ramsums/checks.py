@@ -14,6 +14,7 @@ from .arith import DownsetTable, jordan_totient
 from .cli import SUITES
 from .csums import (
     DivisorDownset,
+    _csum_dtype,
     divisor_sum_identity,
     first_argument_convolution,
     jordan_like_local_form,
@@ -21,6 +22,9 @@ from .csums import (
     second_argument_convolution,
 )
 from .monoid import Element, MonoidInstance
+
+#: Largest csum block, in bytes, that :func:`run_suite` builds.
+MAX_CSUM_BLOCK_BYTES = 2**30
 
 
 def _pmap(fn, items, workers: int):
@@ -194,12 +198,24 @@ def run_suite(
     suite but th1 and apostol then reads one :class:`DivisorDownset` over
     the elements of norm <= bound, built here and dropped on return: th2
     and holder its divisor positions, th2 and oracle its csum block (n**2 *
-    itemsize bytes, int16 up to bound 32768), evaluated once.
+    itemsize bytes, int16 up to bound 32768), evaluated once.  Before any
+    work, a suite that reads the block takes n from ``count_up_to(bound)``
+    and the item size from the block's dtype rule at norm ``bound``, and
+    raises ValueError when the block would pass MAX_CSUM_BLOCK_BYTES.
     """
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
     if suite == "oracle" and not inst.parses_integers:
         raise ValueError("the oracle suite runs on the rational-integer instance")
+    if suite in ("th2", "oracle", "all"):
+        n = inst.count_up_to(bound)
+        size = n * n * _csum_dtype(bound).itemsize
+        if size > MAX_CSUM_BLOCK_BYTES:
+            raise ValueError(
+                f"--bound {bound} needs a {n} x {n} csum block of {size} bytes "
+                f"({size / 2**30:.1f} GiB), above the limit of {MAX_CSUM_BLOCK_BYTES} bytes; "
+                "lower --bound"
+            )
     if suite == "th1":
         return suite_th1(inst, bound)
     if suite == "apostol":

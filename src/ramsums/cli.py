@@ -174,9 +174,10 @@ def _largest_first(fn, points: list) -> list:
     On the built-in instances the only tables a ``count`` scan grows are the
     character tables of ``fields._ideal_counter``, min(|D|, x + 1) entries;
     z and q:-1 grow nothing.  ``count --instance q:-1000003 --x 1e7 --scan``
-    takes 0.34-0.43 s this way and 0.57-0.78 s in ascending order (2-core
-    x86-64, Python 3.11), with the same stdout, because ascending order
-    rebuilds the numpy table at each larger point below |D|.
+    takes 0.52-0.57 s this way and 0.89-1.00 s in ascending order
+    (quartiles of 10 fresh processes each, interleaved; 2-core x86-64,
+    Python 3.11), with the same stdout, because ascending order rebuilds
+    the numpy table at each larger point below |D|.
     """
     return [fn(p) for p in reversed(points)][::-1]
 

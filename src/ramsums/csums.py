@@ -155,6 +155,13 @@ def divisor_sum_identity(inst: MonoidInstance, k: Element) -> IdentityReport:
     return IdentityReport(lhs, rhs, lhs == rhs, context=f"k={k.exps}")
 
 
+def _csum_dtype(max_norm: int) -> np.dtype:
+    """dtype of a csum block whose rows K have norm at most ``max_norm``: the
+    narrowest signed integer of at least 16 bits that holds -max_norm, as
+    |csum(K, M)| <= N(K)."""
+    return np.promote_types(np.min_scalar_type(-max_norm), np.int16)
+
+
 class DivisorDownset:
     """Divisor-closed elements with their divisor positions and csum block.
 
@@ -190,7 +197,7 @@ class DivisorDownset:
     @cached_property
     def values(self) -> np.ndarray:
         elems, n = self.elems, len(self.elems)
-        dtype = np.promote_types(np.min_scalar_type(-max(self.norms, default=1)), np.int16)
+        dtype = _csum_dtype(max(self.norms, default=1))
         lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
         out = np.empty((n, n), dtype)
         step = max(1, _CHUNK_ITEMS // max(n, 1))

@@ -195,7 +195,8 @@ MAX_ABS_D = 10**12
 MAX_INVARIANT_DISC = 10**8
 
 #: Largest table length min(|disc|, x + 1) and loop length isqrt(x) at which
-#: :func:`_ideal_counter` counts in Python lists instead of numpy arrays.
+#: :func:`_ideal_counter` counts in Python lists instead of numpy arrays, until
+#: one count on the instance passes it.
 LIST_COUNT_CAP = 2**14
 
 
@@ -254,41 +255,38 @@ def _ideal_counter(disc: int):
     non-principal character mod |disc|.  chi and S are tabulated on the
     residues below n = min(|disc|, x + 1), once for the largest x asked.
 
-    When n and s are both at most LIST_COUNT_CAP = 2**14, the tables are
-    Python lists (chi by :func:`kronecker` on each residue) and the sums run
-    in Python ints, so counting on a small field never imports numpy; above
-    the cap they are numpy arrays.  In a fresh process, numpy's import
-    included, the list way took 0.014-0.018 s against 0.056-0.089 s at
-    n = s = 2**14 (2-core x86-64, Python 3.11, numpy 2.4).  Its kronecker
-    table falls behind between n = 2**15 and 2**16, its loops only past
-    s = 2**16.  Each way keeps its own tables: a scan grows the arrays
-    first, at its largest x, and under numpy's NEP 50 promotion int8 chi
-    times a Python int stays int8, so list sums over the arrays would
-    overflow.
+    The tables sit in one slot.  While every count so far has had n and s
+    both at most LIST_COUNT_CAP = 2**14, they are Python lists (chi by
+    :func:`kronecker` on each residue) and the sums run in Python ints, so
+    counting on a small field never imports numpy.  The first count above
+    the cap replaces them by numpy arrays, and from then on every count on
+    the instance sums over the arrays, as numpy is loaded by then.  In a
+    fresh process, numpy's import included, the list way took
+    0.014-0.018 s against 0.056-0.089 s at n = s = 2**14 (2-core x86-64,
+    Python 3.11, numpy 2.4).  Its kronecker table falls behind between
+    n = 2**15 and 2**16, its loops only past s = 2**16.
     """
     period = abs(disc)
-    lists = [((), ())]   # chi[r], S[r], r < len, as Python lists
-    arrays = [((), ())]  # the same as numpy arrays, for n or s above the cap
+    tables = [([], [])]  # chi[r], S[r] for r < len: lists, then numpy arrays
 
     def count(x: int) -> int:
         if x > MAX_HYPERBOLA:
             raise ValueError(f"x={x} exceeds the ideal-count limit {MAX_HYPERBOLA}")
         n, s = min(period, x + 1), isqrt(x)
-        if max(n, s) <= LIST_COUNT_CAP:
-            chi, S = lists[0]
+        chi, S = tables[0]
+        if type(chi) is list and max(n, s) <= LIST_COUNT_CAP:
             if len(chi) < n:
                 from itertools import accumulate
                 chi = [kronecker(disc, r) for r in range(n)]
                 S = list(accumulate(chi))  # chi(0) = 0: S[r] sums chi over 1..r
-                lists[0] = (chi, S)
+                tables[0] = (chi, S)
             head = sum([chi[d % period] * (x // d) for d in range(1, s + 1)])
             return head + sum([S[x // d % period] for d in range(1, s + 1)]) - S[s % period] * s
         import numpy as np
-        chi, S = arrays[0]
-        if len(chi) < n:
+        if type(chi) is list or len(chi) < n:
             chi = _character_table(disc, n)
             S = np.cumsum(chi, dtype=np.int64)  # chi(0) = 0: S[r] sums chi over 1..r
-            arrays[0] = (chi, S)
+            tables[0] = (chi, S)
         d = np.arange(1, s + 1, dtype=np.int64)
         q = x // d
         head = int((chi[d % period] * q).sum())

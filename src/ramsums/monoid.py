@@ -301,7 +301,8 @@ class MonoidInstance:
 
     ``counter(b)``, when given, is an exact count of the elements of norm
     <= b for every integer b >= 1; :meth:`count_up_to` calls it in place of
-    the sieve.  It raises ValueError for a b it cannot reach.
+    summing the sieve's ``counts`` table, and builds no table.  It raises
+    ValueError for a b it cannot reach.
 
     ``density`` is a :class:`DensityMeta` or a function returning one, and
     ``invariants`` a function returning the field invariants, or None; a
@@ -309,11 +310,12 @@ class MonoidInstance:
 
     The table is append-only and extension is serialized behind a lock, so
     concurrent readers always see a consistent prefix.  All other state is
-    counting tables, built on first use and rebuilt when a larger bound is
-    requested; a table is only ever replaced by one covering a wider range
-    with identical content on the shared indices.  Every query grows the
-    tables it reads, so callers never pre-size them: asking for the largest
-    bound first builds each table once.  No float sum is cached.
+    the two sieved tables ``counts`` and ``mertens`` (see :meth:`_table`),
+    built on first use and rebuilt when a larger bound is requested; a
+    table is only ever replaced by one covering a wider range with identical
+    content on the shared indices.  Every query grows the tables it reads,
+    so callers never pre-size them: asking for the largest bound first
+    builds each table once.  No float sum is cached.
     """
 
     def __init__(
@@ -497,14 +499,14 @@ class MonoidInstance:
 
     def count_up_to(self, x) -> int:
         """Number of elements with norm <= x: from the declared ``counter``
-        when the instance has one, which builds no table, else from the
-        ``prefix`` table over the sieve."""
+        when the instance has one, which builds no table, else the sum of
+        the ``counts`` table up to x (numpy adds int32 in int64)."""
         b = _floor(x)
         if b < 1:
             return 0
         if self._counter is not None:
             return self._counter(b)
-        return int(self._table("prefix", b)[b])
+        return int(self.norm_counts(b)[: b + 1].sum())
 
     def harmonic_up_to(self, x) -> float:
         """Sum of 1/norm over elements with norm <= x (float), left to right."""
@@ -522,8 +524,6 @@ class MonoidInstance:
         if it is shorter:
 
         * ``counts``: int32 ``cnt[n]``, the elements of norm exactly n;
-        * ``prefix``: cumulative ``cnt``, int32 while the total fits, else
-          int64; :meth:`count_up_to` reads it only without a ``counter``;
         * ``mertens``: int64 cumulative signed squarefree counts.
         """
         table = self._tables.get(kind)
@@ -532,13 +532,8 @@ class MonoidInstance:
         import numpy as np
         if kind == "counts":
             table = self._sieve(bound, squarefree=False)
-        elif kind == "mertens":
+        else:  # mertens
             table = np.cumsum(self._sieve(bound, squarefree=True), dtype=np.int64)
-        else:  # prefix
-            cnt = self.norm_counts(bound)
-            # int32 prefix sums when the total fits, without an int64 temporary
-            wide = cnt.sum(dtype=np.int64) >= 2**31
-            table = np.cumsum(cnt, dtype=np.int64 if wide else np.int32)
         with self._lock:
             cached = self._tables.get(kind)
             if cached is None or len(table) > len(cached):

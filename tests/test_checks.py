@@ -179,6 +179,38 @@ def test_run_suite_refuses_before_it_builds_a_downset(zint, q23, monkeypatch):
         checks.run_suite(q23, "oracle")
 
 
+@pytest.mark.parametrize(
+    "name,suite", [("z", "th2"), ("z", "oracle"), ("z", "all"), ("q:-23", "all")]
+)
+def test_check_refuses_an_oversized_csum_block_before_any_work(capsys, monkeypatch, name, suite):
+    def refuse(*args):
+        raise AssertionError("built a downset")
+
+    monkeypatch.setattr(checks, "DivisorDownset", refuse)
+    code = cli.main(["check", "--instance", name, "--suite", suite, "--bound", "100000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --bound 100000 needs a ") and err.count("\n") == 1
+    if name == "z":  # int32 above bound 32768
+        assert "of 40000000000 bytes (37.3 GiB)" in err
+
+
+def test_csum_block_limit_at_a_small_bound(zint, q23, monkeypatch):
+    # the estimate is the block's size on Z, and an upper bound elsewhere
+    assert DivisorDownset(zint, zint.enumerate_up_to(400)).values.nbytes == 400 * 400 * 2
+    n = q23.count_up_to(200)
+    assert DivisorDownset(q23, q23.enumerate_up_to(200)).values.nbytes <= n * n * 2
+    monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 400 * 400 * 2)
+    assert checks.run_suite(zint, "th2", bound=400)["failures"] == []
+    monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 400 * 400 * 2 - 1)
+    for suite in ("th2", "oracle", "all"):
+        with pytest.raises(ValueError, match="^--bound 400 needs a 400 x 400 csum block of 320000"):
+            checks.run_suite(zint, suite, bound=400)
+    # holder and th1 never read the block
+    assert checks.run_suite(zint, "holder", bound=400, seed=SEED)["failures"] == []
+    assert checks.run_suite(zint, "th1", bound=400)["failures"] == []
+
+
 def test_divisibility_sums_match_definition(qi, q23):
     for inst in (qi, q23):
         elems = list(inst.enumerate_up_to(40))

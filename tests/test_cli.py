@@ -279,8 +279,8 @@ def test_count_builds_no_table(capsys, monkeypatch):
 
 
 def test_count_scan_crosses_the_list_cap(capsys):
-    # the points above fields.LIST_COUNT_CAP count with numpy arrays first,
-    # then those below it with lists; the two must not share tables
+    # the points above fields.LIST_COUNT_CAP build the numpy arrays first,
+    # and the points below it count over the same arrays
     code, out, err = run(capsys, "count", "--instance", "q:-1000003", "--x", "1e7", "--scan")
     assert (code, err) == (0, "")
     assert out.splitlines() == [

@@ -363,9 +363,16 @@ def test_list_and_numpy_counts_agree(d, monkeypatch):
 
     xs = _around_the_list_cap(d)
     count = quadratic_field(d).count_up_to
-    # largest first, as a scan runs: the numpy tables exist before the list ones
-    got = [count(x) for x in reversed(xs)][::-1]
+    # largest first, as a scan runs; the largest x is past the cap, and its
+    # tables serve every later count, on either side of the cap
+    top = count(xs[-1])
+    calls = []
+    real = fields.kronecker
+    monkeypatch.setattr(fields, "kronecker", lambda *a: calls.append(a) or real(*a))
+    got = [count(x) for x in reversed(xs[:-1])][::-1] + [top]
     again = [count(x) for x in xs]
+    assert len(calls) == 0
+    monkeypatch.setattr(fields, "kronecker", real)
     del count  # frees the tables before the reference builds its own
     monkeypatch.setattr(fields, "LIST_COUNT_CAP", -1)  # numpy at every x
     want = [quadratic_field(d).count_up_to(x) for x in xs]
@@ -391,7 +398,7 @@ def test_undeclared_instance_counts_through_prefix(qi):
 
     bare = MonoidInstance("bare Q(i)", qi._source, qi._labels)
     counts = [bare.count_up_to(x) for x in range(2001)]
-    assert "prefix" in bare._tables
+    assert list(bare._tables) == ["counts"]
     assert counts == np.cumsum(gaussian_ideal_counts(2000)).tolist()
     assert counts == [qi.count_up_to(x) for x in range(2001)]
 
