@@ -199,23 +199,28 @@ def run_suite(
     the elements of norm <= bound, built here and dropped on return: th2
     and holder its divisor positions, th2 and oracle its csum block (n**2 *
     itemsize bytes, int16 up to bound 32768), evaluated once.  Before any
-    work, a suite that reads the block takes n from ``count_up_to(bound)``
-    and the item size from the block's dtype rule at norm ``bound``, and
-    raises ValueError when the block would pass MAX_CSUM_BLOCK_BYTES.
+    work, a suite that reads the block takes the item size from the block's
+    dtype rule at norm ``bound`` and n from ``count_up_to``, and raises
+    ValueError when the block would pass MAX_CSUM_BLOCK_BYTES.  n only
+    grows with the bound, so the count runs first at min(bound, 2**20),
+    whose tables stay near 9 MB on a quadratic field of any |D|, and at
+    ``bound`` itself only when that lower bound fits.
     """
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
     if suite == "oracle" and not inst.parses_integers:
         raise ValueError("the oracle suite runs on the rational-integer instance")
     if suite in ("th2", "oracle", "all"):
-        n = inst.count_up_to(bound)
-        size = n * n * _csum_dtype(bound).itemsize
-        if size > MAX_CSUM_BLOCK_BYTES:
-            raise ValueError(
-                f"--bound {bound} needs a {n} x {n} csum block of {size} bytes "
-                f"({size / 2**30:.1f} GiB), above the limit of {MAX_CSUM_BLOCK_BYTES} bytes; "
-                "lower --bound"
-            )
+        itemsize = _csum_dtype(bound).itemsize
+        for x in sorted({min(bound, 2**20), bound}):
+            n = inst.count_up_to(x)
+            size = n * n * itemsize
+            if size > MAX_CSUM_BLOCK_BYTES:
+                raise ValueError(
+                    f"--bound {bound} needs a csum block of at least {n} x {n} entries, "
+                    f"{size} bytes ({size / 2**30:.1f} GiB), above the limit of "
+                    f"{MAX_CSUM_BLOCK_BYTES} bytes; lower --bound"
+                )
     if suite == "th1":
         return suite_th1(inst, bound)
     if suite == "apostol":

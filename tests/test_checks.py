@@ -190,9 +190,36 @@ def test_check_refuses_an_oversized_csum_block_before_any_work(capsys, monkeypat
     code = cli.main(["check", "--instance", name, "--suite", suite, "--bound", "100000"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith("error: --bound 100000 needs a ") and err.count("\n") == 1
+    assert err.startswith("error: --bound 100000 needs a csum block of at least ")
+    assert err.count("\n") == 1
     if name == "z":  # int32 above bound 32768
-        assert "of 40000000000 bytes (37.3 GiB)" in err
+        assert "100000 x 100000 entries, 40000000000 bytes (37.3 GiB)" in err
+
+
+def test_check_counts_a_large_bound_at_2_20_first(monkeypatch):
+    from ramsums import quadratic_field
+
+    def refuse(*args):
+        raise AssertionError("built a downset")
+
+    def spy(inst):
+        real = inst.count_up_to
+        monkeypatch.setattr(inst, "count_up_to", lambda x: asked.append(x) or real(x))
+        return inst
+
+    monkeypatch.setattr(checks, "DivisorDownset", refuse)
+    # counted at the bound, this field's chi and S tables would hold
+    # min(|D|, bound + 1) = 99999971 entries each, about 0.9 GB
+    asked = []
+    with pytest.raises(ValueError, match="^--bound 1000000000 needs a csum block of at least "):
+        checks.run_suite(spy(quadratic_field(-99999971)), "th2", bound=10**9)
+    assert asked == [2**20]
+    # the exact count runs once the lower bound fits
+    asked = []
+    monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 2**40 * 4)
+    with pytest.raises(ValueError, match="^--bound 1048577 needs a csum block of at least 1048577 x"):
+        checks.run_suite(spy(cli.make_instance("z")), "th2", bound=2**20 + 1)
+    assert asked == [2**20, 2**20 + 1]
 
 
 def test_csum_block_limit_at_a_small_bound(zint, q23, monkeypatch):
@@ -204,7 +231,7 @@ def test_csum_block_limit_at_a_small_bound(zint, q23, monkeypatch):
     assert checks.run_suite(zint, "th2", bound=400)["failures"] == []
     monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 400 * 400 * 2 - 1)
     for suite in ("th2", "oracle", "all"):
-        with pytest.raises(ValueError, match="^--bound 400 needs a 400 x 400 csum block of 320000"):
+        with pytest.raises(ValueError, match="^--bound 400 needs a csum block of at least 400 x 400 entries, 320000 bytes"):
             checks.run_suite(zint, suite, bound=400)
     # holder and th1 never read the block
     assert checks.run_suite(zint, "holder", bound=400, seed=SEED)["failures"] == []

@@ -373,11 +373,14 @@ def test_list_and_numpy_counts_agree(d, monkeypatch):
     again = [count(x) for x in xs]
     assert len(calls) == 0
     monkeypatch.setattr(fields, "kronecker", real)
+    # ascending on a fresh instance: lists up to the cap, then arrays
+    count = quadratic_field(d).count_up_to
+    up = [count(x) for x in xs]
     del count  # frees the tables before the reference builds its own
     monkeypatch.setattr(fields, "LIST_COUNT_CAP", -1)  # numpy at every x
     want = [quadratic_field(d).count_up_to(x) for x in xs]
-    assert got == again == want
-    assert all(type(c) is int for c in got + again)
+    assert got == again == up == want
+    assert all(type(c) is int for c in got + again + up)
     disc = d if d % 4 == 1 else 4 * d
     if disc in (-4, -3):
         assert got == [lattice_ideal_count(x, disc) for x in xs]
@@ -394,6 +397,7 @@ def test_declared_count_ceiling():
 
 
 def test_undeclared_instance_counts_through_prefix(qi):
+    """Without a declared counter, count_up_to sums the sieve's counts table."""
     from ramsums.monoid import MonoidInstance
 
     bare = MonoidInstance("bare Q(i)", qi._source, qi._labels)
