@@ -217,7 +217,7 @@ def test_check_counts_a_large_bound_at_2_20_first(monkeypatch):
     # the exact count runs once the lower bound fits
     asked = []
     monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 2**40 * 4)
-    with pytest.raises(ValueError, match="^--bound 1048577 needs a csum block of at least 1048577 x"):
+    with pytest.raises(ValueError, match="^--bound 1048577 needs a csum block of at least 1048577 "):
         checks.run_suite(spy(cli.make_instance("z")), "th2", bound=2**20 + 1)
     assert asked == [2**20, 2**20 + 1]
 
@@ -230,8 +230,9 @@ def test_csum_block_limit_at_a_small_bound(zint, q23, monkeypatch):
     monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 400 * 400 * 2)
     assert checks.run_suite(zint, "th2", bound=400)["failures"] == []
     monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 400 * 400 * 2 - 1)
+    refusal = "^--bound 400 needs a csum block of at least 400 x 400 entries, 320000 bytes"
     for suite in ("th2", "oracle", "all"):
-        with pytest.raises(ValueError, match="^--bound 400 needs a csum block of at least 400 x 400 entries, 320000 bytes"):
+        with pytest.raises(ValueError, match=refusal):
             checks.run_suite(zint, suite, bound=400)
     # holder and th1 never read the block
     assert checks.run_suite(zint, "holder", bound=400, seed=SEED)["failures"] == []
