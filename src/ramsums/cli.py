@@ -127,8 +127,7 @@ def _check_out(path: str) -> None:
 
 def emit_rows(header: list[str], rows: list[tuple], args: argparse.Namespace) -> None:
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        emit_json([dict(zip(header, row)) for row in rows], args)
     else:
         lines = [",".join(header)]
         lines += [",".join(_cell(v) for v in row) for row in rows]

@@ -471,12 +471,7 @@ def zeta_partial(inst: MonoidInstance, s, x) -> ZetaTruncation:
     b = _floor(x)
     if b < 1:
         return ZetaTruncation(0.0, None)
-    cnt = inst.norm_counts(b)[: b + 1]
-    ns = np.arange(b + 1, dtype=np.float64)
-    ns[0] = 1.0  # dummy, masked below
-    weights = ns ** (-s)
-    weights[0] = 0
-    value = (cnt * weights).sum().item()
+    value = next(_quotient_sums(inst.norm_counts(b), [b], s))
     tail = None
     c = inst.density.c
     if c is not None and sigma > 1:

@@ -181,6 +181,10 @@ def kronecker(a: int, n: int) -> int:
 INERT, RAMIFIED, SPLIT_A, SPLIT_B = 0, 1, 2, 3
 _SUFFIX = {INERT: "", RAMIFIED: "r", SPLIT_A: "a", SPLIT_B: "b"}
 _TAG = {suffix: tag for tag, suffix in _SUFFIX.items()}
+#: The splitting law: (disc|p) -> (kind, tags of the prime ideals above p).
+_SPLITTING = {
+    0: ("ramified", (RAMIFIED,)), 1: ("split", (SPLIT_A, SPLIT_B)), -1: ("inert", (INERT,))
+}
 
 #: Ceiling on |d| in :func:`quadratic_field`: trial division to sqrt(|d|)
 #: takes 0.14 s at 10**12 (Python 3.11, x86-64), and 4|d| fits int64.
@@ -202,24 +206,9 @@ LIST_COUNT_CAP = 2**14
 
 def split_prime(disc: int, p: int) -> SplittingRecord:
     """Behavior of the rational prime p in the field of discriminant disc."""
-    s = kronecker(disc, p)
-    if s == 0:
-        return SplittingRecord(p, "ramified", ((p, f"p{p}r"),))
-    if s == 1:
-        return SplittingRecord(p, "split", ((p, f"p{p}a"), (p, f"p{p}b")))
-    return SplittingRecord(p, "inert", ((p * p, f"p{p}"),))
-
-
-def character_values(disc: int, n: np.ndarray) -> np.ndarray:
-    """Kronecker symbols (disc|n) for an array of positive n, as int8.
-
-    For a fundamental discriminant disc, n -> (disc|n) is a character mod
-    |disc|, so :func:`kronecker` runs once per distinct residue n mod |disc|.
-    """
-    import numpy as np
-    residues, inverse = np.unique(n % abs(disc), return_inverse=True)
-    values = np.array([kronecker(disc, int(r)) for r in residues], dtype=np.int8)
-    return values[inverse]
+    kind, tags = _SPLITTING[kronecker(disc, p)]
+    norm = p * p if kind == "inert" else p
+    return SplittingRecord(p, kind, tuple((norm, _ideal_label(norm, tag)) for tag in tags))
 
 
 def _character_table(disc: int, n: int) -> np.ndarray:
@@ -231,9 +220,8 @@ def _character_table(disc: int, n: int) -> np.ndarray:
     import numpy as np
     chi = np.ones(n, dtype=np.int8)
     chi[0] = 0
-    primes = _prime_array(n - 1)
-    for p, c in zip(primes.tolist(), character_values(disc, primes).tolist()):
-        pk = p
+    for p in _prime_array(n - 1).tolist():
+        c, pk = kronecker(disc, p), p
         while c != 1 and pk < n:
             chi[pk::pk] *= c
             pk *= p
@@ -327,7 +315,7 @@ def quadratic_field(d: int) -> MonoidInstance:
         primes = _prime_array(hi)
         # norm p for ramified and split primes, p*p for inert ones
         primes = primes[(primes > lo) | (primes <= isqrt(hi))]
-        chi = character_values(disc, primes)
+        chi = _character_table(disc, min(abs(disc), hi + 1))[primes % abs(disc)]
         split = primes[chi == 1]
         parts = (primes[chi == 0], split, split, primes[chi == -1] ** 2)
         norms = np.concatenate(parts)
@@ -341,10 +329,10 @@ def quadratic_field(d: int) -> MonoidInstance:
         m = re.fullmatch(r"p(\d+)([abr]?)", label)
         if m is None:
             return None
-        for norm, known in split_prime(disc, int(m.group(1))).atoms:
-            if known == label:
-                return norm, _TAG[m.group(2)]
-        return None
+        p, tag = int(m.group(1)), _TAG[m.group(2)]
+        if tag not in _SPLITTING[kronecker(disc, p)][1]:
+            return None
+        return (p * p if tag == INERT else p), tag
 
     # h and the regulator are computed on the first read of inst.invariants
     # or inst.density, for they take time growing with |disc|

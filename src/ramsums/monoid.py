@@ -69,22 +69,25 @@ MAX_HYPERBOLA = 10**12
 _CHUNK_ITEMS = 1 << 15
 
 
-def _quotient_sums(values, ends: list[int]) -> Iterator[float]:
-    """The float sum of values[n] / n over n = 1..b, left to right, at each b
-    of the increasing list ``ends`` (b >= 0, len(values) > ends[-1]).
+def _quotient_sums(values, ends: list[int], s=1) -> Iterator[float | complex]:
+    """The float (complex for complex s) sum of values[n] / n**s over n = 1..b,
+    left to right, at each b of the increasing list ``ends`` (b >= 0,
+    len(values) > ends[-1]).
 
     Slices of _CHUNK_ITEMS quotients each add the carry into their first one
     before their cumulative sum, which is the same sum term by term, as a +
-    b == b + a.  A quotient rounds as int / int does while |values[n]| < 2**53.
+    b == b + a.  The powers are float64, as an int64 n**3 wraps past n = 2**21
+    (about 2.1e6); at s = 1 a quotient rounds as int / int does while
+    |values[n]| < 2**53.
     """
     import numpy as np
     total, start = 0.0, 1
     for b in ends:
         for lo in range(start, b + 1, _CHUNK_ITEMS):
             hi = min(lo + _CHUNK_ITEMS, b + 1)
-            run = values[lo:hi] / np.arange(lo, hi)
+            run = values[lo:hi] / np.arange(lo, hi, dtype=np.float64) ** s
             run[0] += total
-            total = float(np.cumsum(run, out=run)[-1])
+            total = np.cumsum(run, out=run)[-1].item()
         yield total
         start = b + 1
 

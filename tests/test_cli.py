@@ -307,7 +307,7 @@ def test_count_past_the_cap(capsys, monkeypatch):
     def refuse(disc, n):
         raise AssertionError("character table built past the limit")
 
-    monkeypatch.setattr(fields, "character_values", refuse)
+    monkeypatch.setattr(fields, "_character_table", refuse)
     code, out, err = run(capsys, "count", "--instance", "q:-1", "--x", "1e13", "--allow-large")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "limit" in err and err.count("\n") == 1

@@ -481,10 +481,15 @@ def test_zeta_partial(zint, qi):
 
 
 def test_zeta_partial_genuinely_complex(zint):
+    from ramsums.monoid import _CHUNK_ITEMS
+
     s = 1.5 + 1.0j
-    val = zeta_partial(zint, s, 500).value
-    ref = sum(n ** (-s) for n in range(1, 501))
-    assert abs(val - ref) < 1e-10
+    # _CHUNK_ITEMS + 1 = 2**15 + 1 ends one term into a second slice, so the
+    # complex carry between slices is summed too
+    for b in (500, _CHUNK_ITEMS + 1):
+        val = zeta_partial(zint, s, b).value
+        ref = sum(n ** (-s) for n in range(1, b + 1))  # left to right
+        assert abs(val - ref) < 1e-10
 
 
 def test_zeta_residue_extrapolation(zint):

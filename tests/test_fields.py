@@ -219,6 +219,32 @@ def test_splitting_degree_sum(which, request):
         assert (rec.kind == "ramified") == (disc % p == 0)
 
 
+@pytest.mark.parametrize(
+    "disc,d", [(-4, -1), (5, 5), (8, 2), (-23, -23), (-1003, -1003), (-1000003, -1000003)]
+)
+def test_atom_table_follows_the_splitting_law(disc, d):
+    """The vectorized atom source gives the ideals split_prime gives, in a
+    window ending below |disc| and in one past it where |disc| allows."""
+    inst = quadratic_field(d)
+    assert inst.descriptor.discriminant == disc
+    for bound in (min(500, abs(disc) - 1), 3000):
+        inst.extend(bound)
+        want = []
+        for p in sieve_primes(bound):
+            rec = split_prime(disc, p)
+            labels = [label for _, label in rec.atoms]
+            want += [(norm, label) for norm, label in rec.atoms if norm <= bound]
+            for suffix in ("", "a", "b", "r"):  # a label of the wrong kind names no atom
+                if f"p{p}{suffix}" not in labels:
+                    assert inst.parse_label(f"p{p}{suffix}") is None
+        atoms = list(inst.atoms)
+        assert [(a.norm, a.label) for a in atoms] == sorted(want, key=lambda pair: pair[0])
+        for a in atoms:
+            assert inst.atom(inst.atom_id(*inst.parse_label(a.label))) == a
+    if disc == -4:
+        assert inst.parse_label("p3a") is None and inst.parse_label("p5") is None
+
+
 def test_quadratic_counts_against_character_oracle(q23, q2):
     # cover all splitting behaviors of 2: ramified (disc 8, -4), split
     # (disc -23, -7), inert (disc 5, 13)
