@@ -7,6 +7,7 @@ determined by (instance, bound/trials, seed).
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import numpy as np
 
@@ -14,17 +15,21 @@ from .arith import DownsetTable, jordan_totient
 from .cli import SUITES
 from .csums import (
     DivisorDownset,
-    _csum_dtype,
+    csum_block,
     divisor_sum_identity,
     first_argument_convolution,
     jordan_like_local_form,
     ramanujan_sum,
     second_argument_convolution,
 )
-from .monoid import Element, MonoidInstance
+from .monoid import _CHUNK_ITEMS, Element, MonoidInstance
 
-#: Largest csum block, in bytes, that :func:`run_suite` builds.
-MAX_CSUM_BLOCK_BYTES = 2**30
+#: Most (K, M) pairs, n**2, that :func:`run_suite` lets th2 and oracle check.
+MAX_PAIRS = 2**29
+
+#: Fewest columns in one of th2's chunks; below it the per-atom sweeps are
+#: too short to pay for their indexing.
+_TH2_MIN_WIDTH = 128
 
 
 def _pmap(fn, items, workers: int):
@@ -53,23 +58,40 @@ def suite_th1(inst: MonoidInstance, bound: int) -> dict:
 def suite_th2(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict:
     """Divisibility identity for every pair (M, N) with norms <= bound.
 
-    ``downset`` holds the elements of norm <= bound; its csum block
-    ``values`` takes n**2 * itemsize bytes, int16 up to bound 32768.  Row N
-    of the left side is the int64 sum of the block rows of N's divisors
-    (:meth:`DivisorDownset.zeta_rows`); the right side is norm(N) at the
-    columns of N's multiples, else 0.  Every nonzero difference is a
+    ``downset`` holds the n elements of norm <= bound.  The columns M go in
+    chunks of w = max(_CHUNK_ITEMS // n, _TH2_MIN_WIDTH), each an n x w int64
+    :func:`csum_block` with rows D, turned in place into the left side, the
+    sum of csum(D, M) over the divisors D of N (the zeta transform over the
+    divisor lattice): for each atom power P**e, exponents ascending, the rows
+    of the N that P**e exactly divides add the row of N with P's exponent
+    lowered by one.  The right side, norm(N) where N divides M, is then
+    subtracted at the chunk's divisor pairs.  Every nonzero entry is a
     failure, listed N-major.
     """
-    elems, norms = downset.elems, downset.norms
-    multiples = [[] for _ in elems]
-    for j, idx in enumerate(downset.div_idx):
-        for i in idx:
-            multiples[i].append(j)
-    failures = []
-    for i, row in enumerate(downset.zeta_rows()):
-        row[multiples[i]] -= norms[i]
-        failures += [f"m={elems[j].exps} n={elems[i].exps}" for j in np.flatnonzero(row)]
-    return _report("th2", inst, bound=bound, checked=len(elems) ** 2, failures=failures)
+    elems, index, n = downset.elems, downset.index, len(downset.elems)
+    groups = {}
+    for i, e in enumerate(elems):
+        exps = e.exps
+        for t, (aid, x) in enumerate(exps):
+            lowered = ((aid, x - 1),) if x > 1 else ()
+            children, parents = groups.setdefault((aid, x), ([], []))
+            children.append(i)
+            parents.append(index[Element(exps[:t] + lowered + exps[t + 1 :])])
+    sweeps = [tuple(np.array(side, np.intp) for side in groups[key]) for key in sorted(groups)]
+    norms = np.array(downset.norms, np.int64)
+    width = max(_CHUNK_ITEMS // max(n, 1), _TH2_MIN_WIDTH)
+    bad = []
+    for c in range(0, n, width):
+        chunk = csum_block(inst, elems, elems[c : c + width])
+        for children, parents in sweeps:
+            chunk[children] += chunk[parents]
+        divs = downset.div_idx[c : c + width]
+        rows = np.fromiter(chain.from_iterable(divs), np.intp)
+        chunk[rows, np.repeat(np.arange(len(divs)), list(map(len, divs)))] -= norms[rows]
+        rows, cols = np.nonzero(chunk)
+        bad += zip(rows.tolist(), (cols + c).tolist())
+    failures = [f"m={elems[j].exps} n={elems[i].exps}" for i, j in sorted(bad)]
+    return _report("th2", inst, bound=bound, checked=n**2, failures=failures)
 
 
 def _random_divisor(rng: random.Random, root: Element) -> Element:
@@ -125,8 +147,8 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, downset: DivisorDo
     layer runs over (K, G | K) for every K with norm <= bound; a seeded
     sample of full (K, M) pairs guards the gcd reduction itself.  The
     definitional side is :meth:`DivisorDownset.definition`, read off the
-    divisor positions of ``downset``, the elements of norm <= bound; its
-    csum block ``values`` is never read.  The closed form is the library's
+    divisor positions of ``downset``, the elements of norm <= bound, and no
+    :func:`csum_block` is evaluated.  The closed form is the library's
     :func:`jordan_like_local_form`, given phi(K), which is taken once per K.
     """
     elems = downset.elems
@@ -170,18 +192,22 @@ def suite_oracle(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> d
 
     The trigonometric sum over h coprime to k of exp(2 pi i m h / k) is the
     definitional sum; it depends on m only through m mod k, and all k
-    residues come from one DFT (:func:`_trig_sums`).  Row k of the csum
-    block ``downset.values`` (bound**2 * itemsize bytes, int16 up to bound
-    32768) is compared with it for every m <= bound.  The downset's elements
-    must be the integers 1..bound, fixed on Z by their norms, else RuntimeError.
+    residues come from one DFT (:func:`_trig_sums`).  Row k of csum(k, m)
+    for every m <= bound is compared with it; the rows come from
+    :func:`csum_block` in chunks of at most _CHUNK_ITEMS entries.  The
+    downset's elements must be the integers 1..bound, fixed on Z by their
+    norms, else RuntimeError.
     """
     if downset.norms != list(range(1, bound + 1)):
-        raise RuntimeError(f"the csum block's rows are not the integers 1..{bound}")
-    ms = np.arange(1, bound + 1)
+        raise RuntimeError(f"the downset's elements are not the integers 1..{bound}")
+    elems, ms = downset.elems, np.arange(1, bound + 1)
+    step = max(1, _CHUNK_ITEMS // max(bound, 1))
     failures = []
-    for k, row in enumerate(downset.values, 1):
-        bad = np.abs(_trig_sums(k)[ms % k] - row) >= 1e-6
-        failures += [f"k={k} m={m}" for m in ms[bad].tolist()]
+    for start in range(0, bound, step):
+        block = csum_block(inst, elems[start : start + step], elems)
+        for k, row in enumerate(block, start + 1):
+            bad = np.abs(_trig_sums(k)[ms % k] - row) >= 1e-6
+            failures += [f"k={k} m={m}" for m in ms[bad].tolist()]
     return _report("oracle", inst, bound=bound, checked=bound * bound, failures=failures)
 
 
@@ -196,13 +222,12 @@ def run_suite(
 
     The suite name, and the oracle's instance, are checked first.  Every
     suite but th1 and apostol then reads one :class:`DivisorDownset` over
-    the elements of norm <= bound, built here and dropped on return: th2
-    and holder its divisor positions, th2 and oracle its csum block (n**2 *
-    itemsize bytes, int16 up to bound 32768), evaluated once.  Before any
-    work, a suite that reads the block takes the item size from the block's
-    dtype rule at norm ``bound`` and n from ``count_up_to``, and raises
-    ValueError when the block would pass MAX_CSUM_BLOCK_BYTES.  n only
-    grows with the bound, so the count runs first at min(bound, 2**20),
+    the n elements of norm <= bound, built here and dropped on return: th2
+    and holder its divisor positions, and th2 and oracle check all n**2
+    pairs, each evaluating csum in chunks of about _CHUNK_ITEMS entries.
+    Before any work, a suite that checks the pairs takes n from
+    ``count_up_to`` and raises ValueError when n**2 passes MAX_PAIRS.  n
+    only grows with the bound, so the count runs first at min(bound, 2**20),
     whose tables stay near 9 MB on a quadratic field of any |D|, and at
     ``bound`` itself only when that lower bound fits.
     """
@@ -211,15 +236,12 @@ def run_suite(
     if suite == "oracle" and not inst.parses_integers:
         raise ValueError("the oracle suite runs on the rational-integer instance")
     if suite in ("th2", "oracle", "all"):
-        itemsize = _csum_dtype(bound).itemsize
         for x in sorted({min(bound, 2**20), bound}):
             n = inst.count_up_to(x)
-            size = n * n * itemsize
-            if size > MAX_CSUM_BLOCK_BYTES:
+            if n * n > MAX_PAIRS:
                 raise ValueError(
-                    f"--bound {bound} needs a csum block of at least {n} x {n} entries, "
-                    f"{size} bytes ({size / 2**30:.1f} GiB), above the limit of "
-                    f"{MAX_CSUM_BLOCK_BYTES} bytes; lower --bound"
+                    f"--bound {bound} gives at least {n} elements, {n * n} pairs to check, "
+                    f"above the limit of {MAX_PAIRS}; lower --bound"
                 )
     if suite == "th1":
         return suite_th1(inst, bound)

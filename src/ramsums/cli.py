@@ -22,6 +22,9 @@ from .monoid import ZERO, Element, MonoidInstance
 
 MAX_X = 10**7
 MAX_Y = 10**3
+#: Most rows ``table`` builds, with or without --allow-large: 1e6 rows take
+#: about 312 MB.
+MAX_TABLE_ROWS = 4 * 10**6
 
 #: The suites of ``check`` (``checks.SUITES``), here so that building the
 #: parser does not load the suites and numpy.
@@ -201,6 +204,12 @@ def cmd_csum(inst, args) -> int:
 
 def cmd_table(inst, args) -> int:
     from . import csums
+    n_k, n_m = inst.count_up_to(args.y), inst.count_up_to(args.x)
+    if n_k * n_m > MAX_TABLE_ROWS:
+        raise CLIError(
+            f"--x {args.x} and --y {args.y} give {n_k} x {n_m} rows, above the limit of "
+            f"{MAX_TABLE_ROWS}; lower --x or --y"
+        )
     ks = list(inst.enumerate_up_to(args.y))
     ms = list(inst.enumerate_up_to(args.x))
     rows = [

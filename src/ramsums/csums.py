@@ -21,7 +21,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -155,15 +154,8 @@ def divisor_sum_identity(inst: MonoidInstance, k: Element) -> IdentityReport:
     return IdentityReport(lhs, rhs, lhs == rhs, context=f"k={k.exps}")
 
 
-def _csum_dtype(max_norm: int) -> np.dtype:
-    """dtype of a csum block whose rows K have norm at most ``max_norm``: the
-    narrowest signed integer of at least 16 bits that holds -max_norm, as
-    |csum(K, M)| <= N(K)."""
-    return np.promote_types(np.min_scalar_type(-max_norm), np.int16)
-
-
 class DivisorDownset:
-    """Divisor-closed elements with their divisor positions and csum block.
+    """Divisor-closed elements with their divisor positions.
 
     ``div_idx[i]`` lists the positions in ``elems`` of the divisors of
     ``elems[i]``, in :meth:`MonoidInstance.divisors` order, so the
@@ -171,20 +163,11 @@ class DivisorDownset:
     each element to its position and ``norms`` holds their norms.  These
     take O(len(elems) + sum of tau(N)) memory and are built at once; a
     divisor of some element missing from ``elems`` raises ValueError.
-
-    ``values``, csum(K, M) for every pair of ``elems`` with rows K and
-    columns M, is evaluated on its first read by :func:`csum_block`, in
-    chunks of rows whose int64 temporaries take at most _CHUNK_ITEMS * 8
-    bytes (256 KB).  By its Euler product |csum(K, M)| <= N(K), so the
-    n x n array (n = len(elems)) takes the narrowest signed dtype of at
-    least 16 bits that holds -max N(K): n**2 * itemsize bytes, 320 KB for Z
-    at bound 400 and 8 MB at bound 2000.  Each chunk is range-checked before
-    it is stored: a value outside that dtype raises OverflowError instead of
-    wrapping.
+    No csum value is stored: the check suites evaluate them in chunks
+    with :func:`csum_block`.
     """
 
     def __init__(self, inst: MonoidInstance, elems):
-        self.inst = inst
         self.elems = list(elems)
         self.norms = [inst.norm(e) for e in self.elems]
         self.index = index = {e: i for i, e in enumerate(self.elems)}
@@ -193,28 +176,6 @@ class DivisorDownset:
         except KeyError as exc:
             missing = exc.args[0]
             raise ValueError(f"elements are not divisor-closed: {missing!r} is missing") from None
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        elems, n = self.elems, len(self.elems)
-        dtype = _csum_dtype(max(self.norms, default=1))
-        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
-        out = np.empty((n, n), dtype)
-        step = max(1, _CHUNK_ITEMS // max(n, 1))
-        for start in range(0, n, step):
-            chunk = csum_block(self.inst, elems[start : start + step], elems)
-            bad = chunk[(chunk < lo) | (chunk > hi)]
-            if bad.size:
-                raise OverflowError(f"csum value {bad[0]} does not fit the {dtype} csum block")
-            out[start : start + step] = chunk
-        return out
-
-    def zeta_rows(self) -> Iterator[np.ndarray]:
-        """The zeta transform of ``values``: for each N in ``elems``, in order,
-        the int64 sum of the rows of N's divisors, the divisibility identity's
-        left side at N."""
-        for idx in self.div_idx:
-            yield self.values[idx].sum(axis=0, dtype=np.int64)
 
     def definition(self, i: int) -> dict[int, int]:
         """csum(K, G) by its definition for K = ``elems[i]`` and every

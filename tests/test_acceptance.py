@@ -39,7 +39,7 @@ from ramsums import (
     FieldInvariants,
     second_argument_convolution,
 )
-from ramsums import cli
+from ramsums import checks, cli
 
 
 def _verdict(num, name, ok, detail=""):
@@ -98,11 +98,10 @@ def test_criterion_03_divisibility_identity(zint, qi, q23, q2):
     checked = 0
     for inst in (zint, qi, q23, q2):
         downset = DivisorDownset(inst, inst.enumerate_up_to(300))
-        elems, norms = downset.elems, downset.norms
-        for n, nn, lhs in zip(elems, norms, downset.zeta_rows()):
-            rhs = [nn if n.leq(m) else 0 for m in elems]
-            checked += len(elems)
-            failures += sum(a != b for a, b in zip(lhs.tolist(), rhs))
+        report = checks.suite_th2(inst, 300, downset)
+        assert report["checked"] == len(downset.elems) ** 2
+        checked += report["checked"]
+        failures += len(report["failures"])
     _verdict(
         3,
         "divisibility identity, exact, all pairs with norms <= 300",

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -39,7 +40,7 @@ def _patch_csum(monkeypatch, fn) -> None:
 
     for module in (csums, checks):
         monkeypatch.setattr(module, "ramanujan_sum", fn)
-    monkeypatch.setattr(csums, "csum_block", block)
+        monkeypatch.setattr(module, "csum_block", block)
 
 
 def _sabotage_csum(monkeypatch, k_bad: Element, m_bad: Element) -> None:
@@ -190,10 +191,10 @@ def test_check_refuses_an_oversized_csum_block_before_any_work(capsys, monkeypat
     code = cli.main(["check", "--instance", name, "--suite", suite, "--bound", "100000"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith("error: --bound 100000 needs a csum block of at least ")
+    assert err.startswith("error: --bound 100000 gives at least ")
     assert err.count("\n") == 1
-    if name == "z":  # int32 above bound 32768
-        assert "100000 x 100000 entries, 40000000000 bytes (37.3 GiB)" in err
+    if name == "z":
+        assert "100000 elements, 10000000000 pairs to check, above the limit of 536870912" in err
 
 
 def test_check_counts_a_large_bound_at_2_20_first(monkeypatch):
@@ -211,43 +212,84 @@ def test_check_counts_a_large_bound_at_2_20_first(monkeypatch):
     # counted at the bound, this field's chi and S tables would hold
     # min(|D|, bound + 1) = 99999971 entries each, about 0.9 GB
     asked = []
-    with pytest.raises(ValueError, match="^--bound 1000000000 needs a csum block of at least "):
+    with pytest.raises(ValueError, match="^--bound 1000000000 gives at least "):
         checks.run_suite(spy(quadratic_field(-99999971)), "th2", bound=10**9)
     assert asked == [2**20]
     # the exact count runs once the lower bound fits
     asked = []
-    monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 2**40 * 4)
-    with pytest.raises(ValueError, match="^--bound 1048577 needs a csum block of at least 1048577 "):
+    monkeypatch.setattr(checks, "MAX_PAIRS", 2**40)
+    with pytest.raises(ValueError, match="^--bound 1048577 gives at least 1048577 elements"):
         checks.run_suite(spy(cli.make_instance("z")), "th2", bound=2**20 + 1)
     assert asked == [2**20, 2**20 + 1]
 
 
-def test_csum_block_limit_at_a_small_bound(zint, q23, monkeypatch):
-    # the estimate is the block's size on Z, and an upper bound elsewhere
-    assert DivisorDownset(zint, zint.enumerate_up_to(400)).values.nbytes == 400 * 400 * 2
-    n = q23.count_up_to(200)
-    assert DivisorDownset(q23, q23.enumerate_up_to(200)).values.nbytes <= n * n * 2
-    monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 400 * 400 * 2)
+def test_csum_block_limit_at_a_small_bound(zint, monkeypatch):
+    monkeypatch.setattr(checks, "MAX_PAIRS", 400 * 400)
     assert checks.run_suite(zint, "th2", bound=400)["failures"] == []
-    monkeypatch.setattr(checks, "MAX_CSUM_BLOCK_BYTES", 400 * 400 * 2 - 1)
-    refusal = "^--bound 400 needs a csum block of at least 400 x 400 entries, 320000 bytes"
+    monkeypatch.setattr(checks, "MAX_PAIRS", 400 * 400 - 1)
+    refusal = "^--bound 400 gives at least 400 elements, 160000 pairs to check, above the limit"
     for suite in ("th2", "oracle", "all"):
         with pytest.raises(ValueError, match=refusal):
             checks.run_suite(zint, suite, bound=400)
-    # holder and th1 never read the block
+    # holder and th1 check no n x n pairs
     assert checks.run_suite(zint, "holder", bound=400, seed=SEED)["failures"] == []
     assert checks.run_suite(zint, "th1", bound=400)["failures"] == []
 
 
-def test_divisibility_sums_match_definition(qi, q23):
-    for inst in (qi, q23):
-        elems = list(inst.enumerate_up_to(40))
-        downset = DivisorDownset(inst, elems)
-        lhs = np.array(list(downset.zeta_rows()))
-        for j, m in enumerate(elems):
-            brute = [sum(csum_brute(inst, d, m) for d in inst.divisors(n)) for n in elems]
-            rhs = [inst.norm(n) if n.leq(m) else 0 for n in elems]
-            assert lhs[:, j].tolist() == brute == rhs
+@pytest.mark.parametrize("name,bound", [("z", 60), ("q:-1", 40), ("q:-23", 40)])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_th2_failure_list_across_chunk_widths(monkeypatch, name, bound, corrupt):
+    """th2's failures against a brute-force N-major listing from the
+    definitional csum, at a chunk width of 7 and at the default width;
+    corrupted, every row K that one atom P divides exactly is off by one at
+    the columns M of odd norm."""
+    inst = cli.make_instance(name)
+    elems = list(inst.enumerate_up_to(bound))
+    power = (inst.atoms[0].id, 1)
+
+    def bump(k, m):
+        return int(corrupt and power in k.exps and inst.norm(m) % 2)
+
+    real, widths = checks.csum_block, []
+
+    def block(inst, ks, ms):
+        widths.append(len(ms))
+        return real(inst, ks, ms) + np.array([[bump(k, m) for m in ms] for k in ks], np.int64)
+
+    monkeypatch.setattr(checks, "csum_block", block)
+    csum = {(d, m): csum_brute(inst, d, m) + bump(d, m) for d in elems for m in elems}
+    expected = [
+        f"m={m.exps} n={n.exps}"
+        for n in elems
+        for m in elems
+        if sum(csum[d, m] for d in inst.divisors(n)) != (inst.norm(n) if n.leq(m) else 0)
+    ]
+    assert bool(expected) == corrupt
+    downset = DivisorDownset(inst, elems)
+    assert checks.suite_th2(inst, bound, downset)["failures"] == expected
+    assert widths == [len(elems)]
+    # w = max(_CHUNK_ITEMS // n, _TH2_MIN_WIDTH) = 7, the last chunk shorter
+    monkeypatch.setattr(checks, "_CHUNK_ITEMS", 1)
+    monkeypatch.setattr(checks, "_TH2_MIN_WIDTH", 7)
+    widths.clear()
+    assert checks.suite_th2(inst, bound, downset)["failures"] == expected
+    n = len(elems)
+    assert n % 7 and widths == [7] * (n // 7) + [n % 7]
+
+
+def test_th2_peak_memory_stays_within_four_chunks(zint):
+    n = 2000
+    downset = DivisorDownset(zint, zint.enumerate_up_to(n))
+    width = max(checks._CHUNK_ITEMS // n, checks._TH2_MIN_WIDTH)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        report = checks.suite_th2(zint, n, downset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["failures"] == []
+    assert peak <= 4 * n * width * 8, peak / (n * width * 8)
 
 
 @pytest.mark.parametrize("name", ["z", "q:-23"])
@@ -376,7 +418,7 @@ def _count_csum_calls(monkeypatch) -> tuple[list, list]:
 
     for module in (csums, checks):
         monkeypatch.setattr(module, "ramanujan_sum", counted)
-    monkeypatch.setattr(csums, "csum_block", recorded)
+        monkeypatch.setattr(module, "csum_block", recorded)
     return calls, pairs
 
 
@@ -396,9 +438,9 @@ def test_th2_evaluates_each_pair_once(monkeypatch, name, bound):
 
 @pytest.mark.parametrize("name,disc,bound", [("z", 1, 30), ("q:-23", -23, 20)])
 def test_suite_all_evaluates_the_block_once(monkeypatch, name, disc, bound):
-    # th2 and oracle share one n x n block from the kernel; th1 and holder's
-    # exhaustive layer each evaluate sum of tau(K) scalar pairs, and holder
-    # samples min(2000, n**2)
+    # th2 and oracle each cover the n x n pairs once with the kernel; th1 and
+    # holder's exhaustive layer each evaluate sum of tau(K) scalar pairs, and
+    # holder samples min(2000, n**2)
     if name == "z":
         n, taus = bound, _divisor_pairs_z(bound)
     else:
@@ -407,13 +449,14 @@ def test_suite_all_evaluates_the_block_once(monkeypatch, name, disc, bound):
     elems = list(inst.enumerate_up_to(bound))
     calls, pairs = _count_csum_calls(monkeypatch)
     report = checks.run_suite(inst, "all", bound=bound, seed=3)
+    suites = 2 if inst.parses_integers else 1  # th2, and oracle on Z
     assert report["failures_total"] == 0
-    assert _each_pair_once(pairs, elems)
+    assert Counter(pairs) == Counter(list(product(elems, elems)) * suites)
     assert len(calls) == 2 * taus + min(2000, n * n) == {"z": 1122, "q:-23": 1812}[name]
-    # holder alone reads the downset's divisor positions, never its block
+    # holder alone reads the downset's divisor positions, never the kernel
     downset = DivisorDownset(inst, elems)
     assert checks.suite_holder(inst, bound, 3, downset)["failures"] == []
-    assert "values" not in vars(downset) and len(pairs) == n * n
+    assert len(pairs) == suites * n * n
 
 
 def test_oracle_alone_evaluates_every_pair_once(zint, monkeypatch):
@@ -468,8 +511,9 @@ def test_block_suites_match_per_column_references(monkeypatch, name, bound, faul
 
 
 @pytest.mark.parametrize("value", [2**15, 2**40])
-def test_out_of_range_csum_is_an_internal_error(zint, monkeypatch, capsys, value):
-    # |csum(K, M)| <= N(K) <= 30 fits int16; a larger value must not wrap
+def test_out_of_range_csum_is_a_th2_failure(zint, monkeypatch, capsys, value):
+    # |csum(K, M)| <= N(K) <= 30; th2 keeps every value in int64, so a
+    # larger one is reported at each multiple of K, not wrapped
     real = csums.ramanujan_sum
     k_bad, m_bad = factor_integer(zint, 12), factor_integer(zint, 18)
     _patch_csum(
@@ -478,14 +522,16 @@ def test_out_of_range_csum_is_an_internal_error(zint, monkeypatch, capsys, value
     )
     code = cli.main(["check", "--instance", "z", "--suite", "th2", "--bound", str(BOUND)])
     out = capsys.readouterr()
-    assert (code, out.out) == (3, "")
-    assert out.err.startswith("internal error: OverflowError: ")
-    assert out.err.count("\n") == 1
+    report = json.loads(out.out)
+    assert (code, out.err) == (1, "")
+    assert report == _th2_reference(zint, BOUND)
+    multiples = [factor_integer(zint, n) for n in (12, 24)]
+    assert report["failures"] == [f"m={m_bad.exps} n={n.exps}" for n in multiples]
 
 
 def test_th2_row_sums_do_not_wrap(zint, monkeypatch):
-    # each offset fits the int16 block, but row 4 adds all three, 2**16 in
-    # total: an int16 sum would wrap back to the right side and hide it
+    # each offset fits int16, but row 4 adds all three, 2**16 in total: an
+    # int16 sum would wrap back to the right side and hide it
     real = csums.ramanujan_sum
     four = factor_integer(zint, 4)
     offsets = {factor_integer(zint, d): off for d, off in ((1, 21846), (2, 21845), (4, 21845))}

@@ -392,6 +392,8 @@ def test_caps(capsys):
     for argv in (
         ["count", "--x", "inf", "--allow-large"],
         ["table", "--x", "1e400", "--allow-large"],
+        ["table", "--instance", "z", "--x", "1e5", "--y", "1e3"],
+        ["table", "--instance", "q:-23", "--x", "1e8", "--y", "1e3", "--allow-large"],
         ["count", "--x", "-5"],
         ["count", "--x", "nan"],
         ["sxy", "--x", "100", "--y", "0"],
