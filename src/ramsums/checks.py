@@ -12,9 +12,10 @@ from itertools import chain
 import numpy as np
 
 from .arith import DownsetTable, jordan_totient
-from .cli import SUITES
+from .cli import SUITES, refuse_pairs
 from .csums import (
     DivisorDownset,
+    chunk_width,
     csum_block,
     divisor_sum_identity,
     first_argument_convolution,
@@ -22,14 +23,10 @@ from .csums import (
     ramanujan_sum,
     second_argument_convolution,
 )
-from .monoid import _CHUNK_ITEMS, Element, MonoidInstance
+from .monoid import Element, MonoidInstance
 
 #: Most (K, M) pairs, n**2, that :func:`run_suite` lets th2 and oracle check.
 MAX_PAIRS = 2**29
-
-#: Fewest columns in one of th2's chunks; below it the per-atom sweeps are
-#: too short to pay for their indexing.
-_TH2_MIN_WIDTH = 128
 
 
 def _pmap(fn, items, workers: int):
@@ -59,7 +56,7 @@ def suite_th2(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict
     """Divisibility identity for every pair (M, N) with norms <= bound.
 
     ``downset`` holds the n elements of norm <= bound.  The columns M go in
-    chunks of w = max(_CHUNK_ITEMS // n, _TH2_MIN_WIDTH), each an n x w int64
+    chunks of w = :func:`chunk_width` (n), each an n x w int64
     :func:`csum_block` with rows D, turned in place into the left side, the
     sum of csum(D, M) over the divisors D of N (the zeta transform over the
     divisor lattice): for each atom power P**e, exponents ascending, the rows
@@ -78,8 +75,7 @@ def suite_th2(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict
             children.append(i)
             parents.append(index[Element(exps[:t] + lowered + exps[t + 1 :])])
     sweeps = [tuple(np.array(side, np.intp) for side in groups[key]) for key in sorted(groups)]
-    norms = np.array(downset.norms, np.int64)
-    width = max(_CHUNK_ITEMS // max(n, 1), _TH2_MIN_WIDTH)
+    norms, width = np.array(downset.norms, np.int64), chunk_width(n)
     bad = []
     for c in range(0, n, width):
         chunk = csum_block(inst, elems, elems[c : c + width])
@@ -95,12 +91,7 @@ def suite_th2(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict
 
 
 def _random_divisor(rng: random.Random, root: Element) -> Element:
-    pairs = []
-    for aid, e in root.exps:
-        d = rng.randint(0, e)
-        if d:
-            pairs.append((aid, d))
-    return Element(tuple(pairs))
+    return Element(tuple((aid, d) for aid, e in root.exps if (d := rng.randint(0, e))))
 
 
 def _random_case(rng: random.Random, inst: MonoidInstance, pool: list[int]):
@@ -194,14 +185,13 @@ def suite_oracle(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> d
     definitional sum; it depends on m only through m mod k, and all k
     residues come from one DFT (:func:`_trig_sums`).  Row k of csum(k, m)
     for every m <= bound is compared with it; the rows come from
-    :func:`csum_block` in chunks of at most _CHUNK_ITEMS entries.  The
+    :func:`csum_block`, :func:`chunk_width` (bound) rows a call.  The
     downset's elements must be the integers 1..bound, fixed on Z by their
     norms, else RuntimeError.
     """
     if downset.norms != list(range(1, bound + 1)):
         raise RuntimeError(f"the downset's elements are not the integers 1..{bound}")
-    elems, ms = downset.elems, np.arange(1, bound + 1)
-    step = max(1, _CHUNK_ITEMS // max(bound, 1))
+    elems, ms, step = downset.elems, np.arange(1, bound + 1), chunk_width(bound)
     failures = []
     for start in range(0, bound, step):
         block = csum_block(inst, elems[start : start + step], elems)
@@ -212,11 +202,7 @@ def suite_oracle(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> d
 
 
 def run_suite(
-    inst: MonoidInstance,
-    suite: str,
-    bound: int = 200,
-    trials: int = 100,
-    seed: int = 0,
+    inst: MonoidInstance, suite: str, bound: int = 200, trials: int = 100, seed: int = 0
 ) -> dict:
     """Run one suite, or every suite that applies to ``inst`` for "all".
 
@@ -224,25 +210,18 @@ def run_suite(
     suite but th1 and apostol then reads one :class:`DivisorDownset` over
     the n elements of norm <= bound, built here and dropped on return: th2
     and holder its divisor positions, and th2 and oracle check all n**2
-    pairs, each evaluating csum in chunks of about _CHUNK_ITEMS entries.
-    Before any work, a suite that checks the pairs takes n from
-    ``count_up_to`` and raises ValueError when n**2 passes MAX_PAIRS.  n
-    only grows with the bound, so the count runs first at min(bound, 2**20),
-    whose tables stay near 9 MB on a quadratic field of any |D|, and at
-    ``bound`` itself only when that lower bound fits.
+    pairs, each evaluating csum in :func:`chunk_width` chunks.  Before any
+    work, a suite that checks the pairs raises ValueError when n**2 passes
+    MAX_PAIRS, counting n by :func:`cli.refuse_pairs`.
     """
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
     if suite == "oracle" and not inst.parses_integers:
         raise ValueError("the oracle suite runs on the rational-integer instance")
     if suite in ("th2", "oracle", "all"):
-        for x in sorted({min(bound, 2**20), bound}):
-            n = inst.count_up_to(x)
-            if n * n > MAX_PAIRS:
-                raise ValueError(
-                    f"--bound {bound} gives at least {n} elements, {n * n} pairs to check, "
-                    f"above the limit of {MAX_PAIRS}; lower --bound"
-                )
+        refuse_pairs(inst, (bound, bound), MAX_PAIRS, lambda n, _: (
+            f"--bound {bound} gives at least {n} elements, {n * n} pairs to check, "
+            f"above the limit of {MAX_PAIRS}; lower --bound"))
     if suite == "th1":
         return suite_th1(inst, bound)
     if suite == "apostol":

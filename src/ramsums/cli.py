@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import re
 import sys
+from itertools import repeat
 
 from . import fields
 from .monoid import ZERO, Element, MonoidInstance
@@ -23,7 +25,7 @@ from .monoid import ZERO, Element, MonoidInstance
 MAX_X = 10**7
 MAX_Y = 10**3
 #: Most rows ``table`` builds, with or without --allow-large: 1e6 rows take
-#: about 312 MB.
+#: about 200 MB.
 MAX_TABLE_ROWS = 4 * 10**6
 
 #: The suites of ``check`` (``checks.SUITES``), here so that building the
@@ -160,6 +162,21 @@ def _check_bounds(args: argparse.Namespace) -> None:
             raise CLIError(f"{name}={v} must be >= {low}")
 
 
+def refuse_pairs(inst: MonoidInstance, bounds, limit: int, refusal) -> None:
+    """ValueError(refusal(*counts)) when the counts of elements of norm <= b,
+    for each b of ``bounds``, multiply past ``limit``.  Each b is counted at
+    min(b, 2**20) first (tables near 9 MB on any field), then at doubling
+    bounds up to b, each once; the first product past ``limit`` refuses."""
+    count, t = functools.cache(inst.count_up_to), 2**20
+    while True:
+        counts = [count(min(b, t)) for b in bounds]
+        if math.prod(counts) > limit:
+            raise ValueError(refusal(*counts))
+        if t >= max(bounds):
+            return
+        t *= 2
+
+
 def _scan_points(limit) -> list:
     pts, v = [], 10
     while v < limit:
@@ -204,19 +221,16 @@ def cmd_csum(inst, args) -> int:
 
 def cmd_table(inst, args) -> int:
     from . import csums
-    n_k, n_m = inst.count_up_to(args.y), inst.count_up_to(args.x)
-    if n_k * n_m > MAX_TABLE_ROWS:
-        raise CLIError(
-            f"--x {args.x} and --y {args.y} give {n_k} x {n_m} rows, above the limit of "
-            f"{MAX_TABLE_ROWS}; lower --x or --y"
-        )
+    refuse_pairs(inst, (args.y, args.x), MAX_TABLE_ROWS, lambda n_k, n_m: (
+        f"--x {args.x} and --y {args.y} give at least {n_k} x {n_m} rows, above the limit of "
+        f"{MAX_TABLE_ROWS}; lower --x or --y"))
     ks = list(inst.enumerate_up_to(args.y))
     ms = list(inst.enumerate_up_to(args.x))
-    rows = [
-        (format_element(inst, k), format_element(inst, m), csums.ramanujan_sum(inst, k, m))
-        for k in ks
-        for m in ms
-    ]
+    mtext, step, rows = [format_element(inst, m) for m in ms], csums.chunk_width(len(ms)), []
+    for r0 in range(0, len(ks), step):
+        chunk = ks[r0 : r0 + step]
+        for k, values in zip(chunk, csums.csum_block(inst, chunk, ms).tolist()):
+            rows += zip(repeat(format_element(inst, k)), mtext, values)
     emit_rows(["k", "m", "csum"], rows, args)
     return 0
 
@@ -227,9 +241,7 @@ def cmd_check(inst, args) -> int:
         inst, args.suite, bound=args.bound, trials=args.trials, seed=args.seed
     )
     emit_json(report, args)
-    if report.get("failures_total", len(report.get("failures", []))):
-        return 1
-    return 0
+    return 1 if report.get("failures_total", len(report.get("failures", []))) else 0
 
 
 def cmd_count(inst, args) -> int:
@@ -249,10 +261,8 @@ def cmd_residue(inst, args) -> int:
     target = csums.residue_target(inst, k)
     points = _scan_points(args.x) if args.scan else [args.x]
     ests = csums.residue_scan(inst, k, points, mode=mode)
-    rows = []
-    for x, est in zip(points, ests):
-        err = abs(est - target) if target is not None else None
-        rows.append((x, est, target, err))
+    err = [None if target is None else abs(est - target) for est in ests]
+    rows = [(x, est, target, e) for x, est, e in zip(points, ests, err)]
     emit_rows(["x", "estimate", "target", "abs_err"], rows, args)
     return 0
 

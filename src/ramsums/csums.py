@@ -29,6 +29,9 @@ from .arith import ArithFn, _bilinear, _check_ring, _mobius_terms, jordan_totien
 from .arith import von_mangoldt
 from .monoid import _CHUNK_ITEMS, Element, MonoidInstance, _floor, _quotient_sums
 
+#: Fewest rows or columns in one :func:`csum_block` call (:func:`chunk_width`).
+_MIN_CHUNK_WIDTH = 128
+
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -91,7 +94,10 @@ def csum_block(inst: MonoidInstance, ks, ms) -> np.ndarray:
     columns: N(P)**e - N(P)**(e-1) where M's exponent is at least e,
     -N(P)**(e-1) where it is e - 1, and 0 where it is lower.  An atom that
     does not divide K contributes 1.  Every partial product is at most N(K)
-    in size, so OverflowError is raised when some N(K) exceeds int64.
+    in size, so OverflowError is raised when some N(K) exceeds int64.  The
+    exponents of the row atoms in the columns are read in one pass into one
+    int8 array, capped at the largest row exponent (at most 62), which
+    keeps both comparisons exact.
     """
     ks, ms = list(ks), list(ms)
     if max(map(inst.norm, ks), default=1) > np.iinfo(np.int64).max:
@@ -100,17 +106,25 @@ def csum_block(inst: MonoidInstance, ks, ms) -> np.ndarray:
     for i, k in enumerate(ks):
         for power in k.exps:
             rows.setdefault(power, []).append(i)
-    cols = {aid: [0] * len(ms) for aid, _ in rows}
-    for j, m in enumerate(ms):
-        for aid, e in m.exps:
-            if aid in cols:
-                cols[aid][j] = e
-    mexps = {aid: np.array(col, np.int64) for aid, col in cols.items()}
+    atom = {aid: r for r, aid in enumerate(dict.fromkeys(aid for aid, _ in rows))}
+    top = max((e for _, e in rows), default=0)
+    at = (v for j, m in enumerate(ms) for aid, e in m.exps if aid in atom
+          for v in (atom[aid], j, min(e, top)))
+    at = np.fromiter(at, np.intp).reshape(-1, 3)
+    mexps = np.zeros((len(atom), len(ms)), np.int8)
+    mexps[at[:, 0], at[:, 1]] = at[:, 2]
     out = np.ones((len(ks), len(ms)), np.int64)
     for (aid, e), idx in rows.items():
-        q, me = inst.norms[aid], mexps[aid]
+        q, me = inst.norms[aid], mexps[atom[aid]]
         out[idx] *= np.where(me >= e, q**e - q ** (e - 1), np.where(me == e - 1, -(q ** (e - 1)), 0))
     return out
+
+
+def chunk_width(n: int) -> int:
+    """Rows or columns per :func:`csum_block` call against a fixed side of n
+    elements: _CHUNK_ITEMS entries a block, but at least _MIN_CHUNK_WIDTH,
+    as shorter per-atom passes do not pay for their indexing."""
+    return max(_CHUNK_ITEMS // max(n, 1), _MIN_CHUNK_WIDTH)
 
 
 def common_divisor_sum(inst: MonoidInstance, f: ArithFn, g: ArithFn, m: Element, k: Element):
@@ -252,10 +266,7 @@ def harmonic_partial(inst: MonoidInstance, x, exact: bool = False):
     if b < 1:
         return Fraction(0)
     cnt = inst.norm_counts(b)
-    total = Fraction(0)
-    for n in np.flatnonzero(cnt[: b + 1]).tolist():
-        total += Fraction(int(cnt[n]), n)
-    return total
+    return sum(Fraction(int(cnt[n]), n) for n in np.flatnonzero(cnt[: b + 1]).tolist())
 
 
 class _HeadScan:
@@ -520,8 +531,8 @@ def _direct_sums(inst: MonoidInstance, points: set[tuple[int, int]]) -> dict[tup
     which serves every smaller y as well.  :class:`_HeadScan` enumerates
     every M once, and the multiplicity of each (bucket, head) is counted per
     chunk.  Each distinct head then gets one row of csum over all the K
-    from :func:`csum_block`, in chunks of at most _CHUNK_ITEMS entries; its
-    prefix sums along K give every y, zeroed past the bucket's Y_i.
+    from :func:`csum_block`, :func:`chunk_width` heads a call; its prefix
+    sums along K give every y, zeroed past the bucket's Y_i.
 
     As |csum(K, M)| <= N(K), a prefix entry is at most the sum of N(K)
     over norm(K) <= max y.  Every product and sum formed is for some y <=
@@ -563,7 +574,7 @@ def _direct_sums(inst: MonoidInstance, points: set[tuple[int, int]]) -> dict[tup
     # the keys are head-major, so each pair's head position is sorted
     heads, hpos = np.unique(head, return_inverse=True)
     part = np.zeros((nb, len(yall)), np.int64)  # per bucket and y
-    step = max(1, _CHUNK_ITEMS // max(len(ks), 1))
+    step = chunk_width(len(ks))
     for r0 in range(0, len(heads), step):
         chunk = heads[r0 : r0 + step]
         prefix = np.zeros((len(ks) + 1, len(chunk)), np.int64)

@@ -240,56 +240,73 @@ def test_csum_block_limit_at_a_small_bound(zint, monkeypatch):
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_th2_failure_list_across_chunk_widths(monkeypatch, name, bound, corrupt):
     """th2's failures against a brute-force N-major listing from the
-    definitional csum, at a chunk width of 7 and at the default width;
+    definitional csum, and on Z oracle's against a k-major listing from the
+    trigonometric sums, at a chunk width of 7 and at the default width;
     corrupted, every row K that one atom P divides exactly is off by one at
-    the columns M of odd norm."""
+    the columns M of odd norm.  th2 takes column chunks, oracle row chunks."""
     inst = cli.make_instance(name)
     elems = list(inst.enumerate_up_to(bound))
-    power = (inst.atoms[0].id, 1)
+    size, power = len(elems), (inst.atoms[0].id, 1)
 
     def bump(k, m):
         return int(corrupt and power in k.exps and inst.norm(m) % 2)
 
-    real, widths = checks.csum_block, []
+    real, shapes = checks.csum_block, []
 
     def block(inst, ks, ms):
-        widths.append(len(ms))
+        shapes.append((len(ks), len(ms)))
         return real(inst, ks, ms) + np.array([[bump(k, m) for m in ms] for k in ks], np.int64)
 
     monkeypatch.setattr(checks, "csum_block", block)
     csum = {(d, m): csum_brute(inst, d, m) + bump(d, m) for d in elems for m in elems}
-    expected = [
+    expected = {"th2": [
         f"m={m.exps} n={n.exps}"
         for n in elems
         for m in elems
         if sum(csum[d, m] for d in inst.divisors(n)) != (inst.norm(n) if n.leq(m) else 0)
-    ]
-    assert bool(expected) == corrupt
+    ]}
+    if name == "z":
+        expected["oracle"] = [
+            f"k={k} m={m}"
+            for k in range(1, bound + 1)
+            for m in range(1, bound + 1)
+            if abs(trig_csum(k, m) - csum[elems[k - 1], elems[m - 1]]) >= 1e-6
+        ]
+    assert all(bool(failures) == corrupt for failures in expected.values())
     downset = DivisorDownset(inst, elems)
-    assert checks.suite_th2(inst, bound, downset)["failures"] == expected
-    assert widths == [len(elems)]
-    # w = max(_CHUNK_ITEMS // n, _TH2_MIN_WIDTH) = 7, the last chunk shorter
-    monkeypatch.setattr(checks, "_CHUNK_ITEMS", 1)
-    monkeypatch.setattr(checks, "_TH2_MIN_WIDTH", 7)
-    widths.clear()
-    assert checks.suite_th2(inst, bound, downset)["failures"] == expected
-    n = len(elems)
-    assert n % 7 and widths == [7] * (n // 7) + [n % 7]
+    suites = {"th2": checks.suite_th2, "oracle": checks.suite_oracle}
+    # the default width covers every element in one chunk; then w =
+    # chunk_width(size) = 7, the last chunk shorter
+    passes = [
+        (csums._CHUNK_ITEMS, csums._MIN_CHUNK_WIDTH, [size]),
+        (1, 7, [7] * (size // 7) + [size % 7]),
+    ]
+    for chunk_items, min_width, widths in passes:
+        monkeypatch.setattr(csums, "_CHUNK_ITEMS", chunk_items)
+        monkeypatch.setattr(csums, "_MIN_CHUNK_WIDTH", min_width)
+        for suite, failures in expected.items():
+            shapes.clear()
+            assert suites[suite](inst, bound, downset)["failures"] == failures
+            th2 = suite == "th2"
+            assert shapes == [(size, w) if th2 else (w, size) for w in widths]
+    assert size % 7
 
 
 def test_th2_peak_memory_stays_within_four_chunks(zint):
+    """th2's n x w column chunks and oracle's w x n row chunks, at z@2000."""
     n = 2000
     downset = DivisorDownset(zint, zint.enumerate_up_to(n))
-    width = max(checks._CHUNK_ITEMS // n, checks._TH2_MIN_WIDTH)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        report = checks.suite_th2(zint, n, downset)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report["failures"] == []
-    assert peak <= 4 * n * width * 8, peak / (n * width * 8)
+    width = csums.chunk_width(n)
+    for run in (checks.suite_th2, checks.suite_oracle):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            report = run(zint, n, downset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["failures"] == []
+        assert peak <= 4 * n * width * 8, (report["suite"], peak / (n * width * 8))
 
 
 @pytest.mark.parametrize("name", ["z", "q:-23"])

@@ -138,6 +138,81 @@ def test_table_command(capsys):
     assert got[("2", "2")] == 1 and got[("2", "3")] == -1 and got[("4", "4")] == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ["q:-23", "q:5"])
+def test_table_reads_the_csum_kernel(capsys, monkeypatch, name, fmt):
+    """table's rows against the scalar ramanujan_sum.  Its values come from
+    csums.csum_block alone, as Python ints: a fault there shows in the rows,
+    and the scalar evaluator is never called."""
+    from ramsums import csums
+
+    inst = make_instance(name)
+    argv = ["table", "--instance", name, "--x", "60", "--y", "20", "--format", fmt]
+    want = [
+        (format_element(inst, k), format_element(inst, m), csums.ramanujan_sum(inst, k, m))
+        for k in inst.enumerate_up_to(20)
+        for m in inst.enumerate_up_to(60)
+    ]
+
+    def table():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            return [(r["k"], r["m"], r["csum"]) for r in json.loads(out)]
+        lines = out.splitlines()
+        assert lines[0] == "k,m,csum"
+        return [(k, m, int(v)) for k, m, v in (line.split(",") for line in lines[1:])]
+
+    def refuse(*args):
+        raise AssertionError("ramanujan_sum called")
+
+    emit, emitted = cli.emit_rows, []
+
+    def spy(header, rows, args):
+        emitted.extend(type(v) for _, _, v in rows)
+        return emit(header, rows, args)
+
+    monkeypatch.setattr(csums, "ramanujan_sum", refuse)
+    monkeypatch.setattr(cli, "emit_rows", spy)
+    assert table() == want and len(want) > 100
+    assert set(emitted) == {int}
+    real = csums.csum_block
+    monkeypatch.setattr(csums, "csum_block", lambda inst, ks, ms: real(inst, ks, ms) + 1)
+    assert table() == [(k, m, v + 1) for k, m, v in want]
+
+
+def test_refuse_pairs_counts_at_doubling_bounds(zint, monkeypatch):
+    asked = []
+    monkeypatch.setattr(zint, "count_up_to", lambda x: asked.append(x) or int(x))
+    cli.refuse_pairs(zint, (3, 2**22 + 5), 10**9, None)
+    assert asked == [3, 2**20, 2**21, 2**22, 2**22 + 5]
+    asked.clear()
+    with pytest.raises(ValueError, match="^3 x 2097152$"):
+        cli.refuse_pairs(zint, (3, 2**22 + 5), 6 * 10**6, lambda a, b: f"{a} x {b}")
+    assert asked == [3, 2**20, 2**21]
+
+
+def test_table_counts_a_large_x_at_2_20_first(capsys, monkeypatch):
+    # counted at x = 1e9, this field's chi and S tables would hold
+    # min(|D|, x + 1) = 99999971 entries each, about 0.9 GB
+    real, asked = MonoidInstance.count_up_to, []
+
+    def spy(self, x):
+        if x > 2**20:
+            raise AssertionError(f"counted at {x}")
+        asked.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(MonoidInstance, "count_up_to", spy)
+    monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 1000)
+    argv = ["table", "--instance", "q:-99999971", "--x", "1e9", "--y", "1", "--allow-large"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --x 1000000000.0 and --y 1 give at least 1 x ")
+    assert err.endswith(" rows, above the limit of 1000; lower --x or --y\n")
+    assert err.count("\n") == 1 and sorted(asked) == [1, 2**20]
+
+
 def test_check_command_exit_codes(capsys):
     code, out, _ = run(
         capsys, "check", "--suite", "th1", "--instance", "z", "--bound", "100"

@@ -156,6 +156,20 @@ def test_csum_block_refuses_norms_past_int64(zint):
         csum_block(zint, [Element(((two.exps[0][0], 63),))], [ZERO])
 
 
+def test_csum_block_reads_column_exponents_above_127(zint, qi):
+    # csum reads only whether M's exponent of P reaches e or is e - 1, so
+    # column exponents past any int8 must compare as the scalar walk does
+    two = z_el(zint, 2).exps[0][0]
+    cases = [(zint, [z_el(zint, 2), z_el(zint, 4)], [Element(((two, 200),))])]
+    p, q = qi.atoms[0].id, qi.atoms[1].id
+    ms = [Element(((p, 128),)), Element(((p, 300), (q, 1))), Element(((p, 4), (q, 130))), ZERO]
+    cases.append((qi, list(qi.enumerate_up_to(40)), ms))
+    for inst, ks, ms in cases:
+        block = csum_block(inst, ks, ms)
+        assert block.tolist() == [[ramanujan_sum(inst, k, m) for m in ms] for k in ks]
+        assert block.any()
+
+
 def test_csum_against_trig_oracle(zint):
     for k in range(1, 31):
         ke = z_el(zint, k)
