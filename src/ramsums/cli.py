@@ -12,20 +12,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
 import re
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import fields
 from .monoid import ZERO, Element, MonoidInstance
 
 MAX_X = 10**7
 MAX_Y = 10**3
-#: Most rows ``table`` builds, with or without --allow-large: 1e6 rows take
-#: about 200 MB.
+#: Most rows ``table`` builds, with or without --allow-large: 1e6 rows peak
+#: near 130 MB in CSV and 340 MB in JSON.
 MAX_TABLE_ROWS = 4 * 10**6
 
 #: The suites of ``check`` (``checks.SUITES``), here so that building the
@@ -130,17 +131,19 @@ def _check_out(path: str) -> None:
         raise CLIError(f"cannot write --out {path!r}: not a writable file in an existing directory")
 
 
-def emit_rows(header: list[str], rows: list[tuple], args: argparse.Namespace) -> None:
+def emit_rows(header: list[str], rows, args: argparse.Namespace) -> None:
     if args.format == "json":
         emit_json([dict(zip(header, row)) for row in rows], args)
     else:
-        lines = [",".join(header)]
-        lines += [",".join(_cell(v) for v in row) for row in rows]
-        _write("\n".join(lines) + "\n", args.out)
+        lines = [",".join(header), *(",".join(_cell(v) for v in row) for row in rows), ""]
+        _write("\n".join(lines), args.out)
 
 
 def emit_json(obj, args: argparse.Namespace) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
+    buf = io.StringIO()
+    json.dump(obj, buf, sort_keys=True, indent=2)
+    buf.write("\n")
+    _write(buf.getvalue(), args.out)
 
 
 def _check_bounds(args: argparse.Namespace) -> None:
@@ -206,7 +209,7 @@ def _largest_first(fn, points: list) -> list:
 
 def cmd_atoms(inst, args) -> int:
     inst.extend(args.x)
-    rows = [(a.id, a.label, a.norm) for a in inst.atoms if a.norm <= args.x]
+    rows = ((a.id, a.label, a.norm) for a in inst.atoms if a.norm <= args.x)
     emit_rows(["id", "label", "norm"], rows, args)
     return 0
 
@@ -226,11 +229,11 @@ def cmd_table(inst, args) -> int:
         f"{MAX_TABLE_ROWS}; lower --x or --y"))
     ks = list(inst.enumerate_up_to(args.y))
     ms = list(inst.enumerate_up_to(args.x))
-    mtext, step, rows = [format_element(inst, m) for m in ms], csums.chunk_width(len(ms)), []
-    for r0 in range(0, len(ks), step):
-        chunk = ks[r0 : r0 + step]
-        for k, values in zip(chunk, csums.csum_block(inst, chunk, ms).tolist()):
-            rows += zip(repeat(format_element(inst, k)), mtext, values)
+    mtext, step = [format_element(inst, m) for m in ms], csums.chunk_width(len(ms))
+    chunks = (ks[r0 : r0 + step] for r0 in range(0, len(ks), step))
+    rows = chain.from_iterable(
+        zip(repeat(format_element(inst, k)), mtext, values)
+        for chunk in chunks for k, values in zip(chunk, csums.csum_block(inst, chunk, ms).tolist()))
     emit_rows(["k", "m", "csum"], rows, args)
     return 0
 
