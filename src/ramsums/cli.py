@@ -25,8 +25,9 @@ from .monoid import ZERO, Element, MonoidInstance
 
 MAX_X = 10**7
 MAX_Y = 10**3
-#: Most rows ``table`` builds, with or without --allow-large: 1e6 rows peak
-#: near 130 MB in CSV and 340 MB in JSON.
+#: Most rows ``table`` builds, with or without --allow-large.  1e6 rows peak
+#: near 130 MB in CSV and 340 MB in JSON on Z, and 168 and 372 MB on q:-23,
+#: whose labels are longer; 3.9e6 rows on q:-23 peak at 571 MB in CSV.
 MAX_TABLE_ROWS = 4 * 10**6
 
 #: The suites of ``check`` (``checks.SUITES``), here so that building the
@@ -77,11 +78,7 @@ def format_element(inst: MonoidInstance, e: Element) -> str:
         return "1"
     if inst.parses_integers:
         return str(inst.norm(e))
-    parts = []
-    for aid, exp in e.exps:
-        label = inst.atom(aid).label
-        parts.append(label if exp == 1 else f"{label}^{exp}")
-    return "*".join(parts)
+    return "*".join(inst.label(a) if x == 1 else f"{inst.label(a)}^{x}" for a, x in e.exps)
 
 
 def make_instance(spec: str) -> MonoidInstance:
@@ -209,7 +206,7 @@ def _largest_first(fn, points: list) -> list:
 
 def cmd_atoms(inst, args) -> int:
     inst.extend(args.x)
-    rows = ((a.id, a.label, a.norm) for a in inst.atoms if a.norm <= args.x)
+    rows = ((aid, inst.label(aid), n) for aid, n in enumerate(inst.norms) if n <= args.x)
     emit_rows(["id", "label", "norm"], rows, args)
     return 0
 
@@ -325,10 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, x_default=None, rows=False):
-        """A subcommand with the options every one reads, plus --x and
-        --allow-large when it reads x, and --format when it emits rows."""
+    def command(name, run, help, x_default=None, rows=False):
+        """Subcommand ``name``, run as ``run(inst, args)``, with the options all
+        read, plus --x and --allow-large when it reads x, --format for rows."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--instance", default="z", help="'z' or 'q:<d>' (default z)")
         p.add_argument("--out", default=None, metavar="PATH")
         if x_default is not None:
@@ -338,16 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         return p
 
-    command("atoms", "list materialized atoms up to --x", x_default=100, rows=True)
+    command("atoms", cmd_atoms, "list materialized atoms up to --x", x_default=100, rows=True)
 
-    p = command("csum", "print the exact Ramanujan-type sum")
+    p = command("csum", cmd_csum, "print the exact Ramanujan-type sum")
     p.add_argument("--k", required=True)
     p.add_argument("--m", required=True)
 
-    p = command("table", "csum grid over norms <= --y by <= --x", x_default=30, rows=True)
+    p = command("table", cmd_table, "csum grid over norms <= --y by <= --x", x_default=30,
+                rows=True)
     p.add_argument("--y", type=_num, default=30)
 
-    p = command("check", "run an identity or oracle suite")
+    p = command("check", cmd_check, "run an identity or oracle suite")
     p.add_argument(
         "--suite", default="all", choices=SUITES + ("all",),
         help="th1: divisor-sum identity, th2: divisibility identity, "
@@ -362,37 +361,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted (N >= 1) and has no effect; suites run in one thread",
     )
 
-    p = command("count", "norm-bounded element counts", x_default=1000, rows=True)
+    p = command("count", cmd_count, "norm-bounded element counts", x_default=1000, rows=True)
     p.add_argument("--scan", action="store_true", help="emit decade scan up to --x")
 
-    p = command(
-        "residue", "norm-ordered series estimating -c*Lambda(k)", x_default=10**6, rows=True
-    )
+    p = command("residue", cmd_residue, "norm-ordered series estimating -c*Lambda(k)",
+                x_default=10**6, rows=True)
     p.add_argument("--k", required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--grouped", action="store_true", default=True)
     group.add_argument("--direct", action="store_true", default=False)
     p.add_argument("--scan", action="store_true")
 
-    p = command("sxy", "exact double sum S(x, y) and its residual", x_default=10**4, rows=True)
+    p = command("sxy", cmd_sxy, "exact double sum S(x, y) and its residual", x_default=10**4,
+                rows=True)
     p.add_argument("--y", type=_num, default=50)
     p.add_argument("--scan", action="store_true", help="decades of x times y in {2,5,10,20,50}")
 
-    command("invariants", "field invariants, residue constant, class number", x_default=10**6)
+    command("invariants", cmd_invariants, "field invariants, residue constant, class number",
+            x_default=10**6)
 
     return parser
-
-
-COMMANDS = {
-    "atoms": cmd_atoms,
-    "csum": cmd_csum,
-    "table": cmd_table,
-    "check": cmd_check,
-    "count": cmd_count,
-    "residue": cmd_residue,
-    "sxy": cmd_sxy,
-    "invariants": cmd_invariants,
-}
 
 
 def main(argv=None) -> int:
@@ -403,7 +391,7 @@ def main(argv=None) -> int:
         if args.out:
             _check_out(args.out)
         inst = make_instance(args.instance)
-        return COMMANDS[args.command](inst, args)
+        return args.run(inst, args)
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -265,7 +265,8 @@ class AtomTable(Sequence):
     """Read-only sequence view of an instance's atoms, in id order.
 
     :class:`Atom` objects are built on each access from the stored norm and
-    tag, so holding the view costs nothing per atom.
+    tag, so holding the view costs nothing per atom.  It is the library's
+    view; the program reads atoms by id (``norms``, ``label``).
     """
 
     __slots__ = ("_inst",)
@@ -406,10 +407,15 @@ class MonoidInstance:
                 raise RuntimeError("atom stream too sparse")
             self.extend(target)
 
+    def label(self, aid: int) -> str:
+        """Label of atom ``aid`` >= 0, the one formatter: from its norm and tag."""
+        return self._labels.format(self._norms[aid], self._tags.item(aid))
+
     def atom(self, aid: int) -> Atom:
+        """The library's view of atom ``aid``; the program reads atoms by id
+        (:attr:`norms`, :meth:`label`) and builds none."""
         aid = range(len(self._norms))[aid]  # list indexing rules
-        norm = self._norms[aid]
-        return Atom(aid, norm, self._labels.format(norm, int(self._tags[aid])))
+        return Atom(aid, self._norms[aid], self.label(aid))
 
     def parse_label(self, label: str) -> tuple[int, int] | None:
         """(norm, tag) of the atom ``label`` names, materialized or not, or

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsums import MonoidInstance, cli, fields
 from ramsums.cli import format_element, make_instance, parse_element
@@ -488,6 +492,80 @@ def test_caps(capsys):
     assert exc.value.code == 2
 
 
+# Values drawn for each option a subcommand declares: valid and invalid, all
+# small.  An empty tuple marks a flag.
+_NUMBERS = ("nan", "inf", "-1", "0", "1", "2.5", "7", "30", "1e3")
+_SPECS = ("1", "12", "0", "p2", "p3", "p2r", "p2a", "p5a^2", "p2r^2*p5a", "p23r", "p5", "p2^0",
+          "p101a", "p2r*", "^2", "q7", "")
+_VALUES = {
+    "--x": _NUMBERS, "--y": ("nan", "-1", "0", "1", "2.5", "7", "50"), "--k": _SPECS,
+    "--m": _SPECS, "--format": ("csv", "json", "xml"), "--suite": cli.SUITES + ("all", "th3"),
+    "--bound": ("-1", "0", "7", "50", "nan"), "--trials": ("-1", "0", "5"), "--seed": ("0", "7"),
+    "--workers": ("0", "1", "2"), "--scan": (), "--grouped": (), "--direct": (),
+    "--allow-large": (),
+}
+
+
+@st.composite
+def _argv(draw):
+    _, subs = _subcommands()
+    name = draw(st.sampled_from(sorted(subs)))
+    instance = draw(st.sampled_from(("z", "q:-1", "q:-23", "q:5", "q:4", "q:0", "w")))
+    argv = [name, "--instance", instance]
+    for action in subs[name]._actions:
+        option = action.option_strings[-1] if action.option_strings else None
+        if option in (None, "--help", "--instance", "--out"):
+            continue
+        if not (action.required or draw(st.booleans())):
+            continue
+        values = _VALUES[option]
+        argv += [option, draw(st.sampled_from(values))] if values else [option]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=200, deadline=None)
+def test_errors_are_one_line_and_never_internal(argv):
+    """Exit 0, 1 or 2, never 3 and never a traceback; an exit 2 the program
+    raises is one stderr line.  argparse's own usage errors (SystemExit 2)
+    print their usage block as they always have."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = None
+            assert exc.code == 2
+    assert "Traceback" not in err.getvalue()
+    assert code in (None, 0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+def test_row_paths_build_no_atom(capsys, monkeypatch):
+    """atoms, table and check's apostol suite read atoms by id: with
+    MonoidInstance.atom raising, each prints what it printed before."""
+    runs = [
+        [*argv, "--instance", name, *fmt]
+        for name in ("z", "q:-1", "q:-23", "q:5")
+        for argv, formats in (
+            (["atoms", "--x", "2000"], (["--format", "csv"], ["--format", "json"])),
+            (["table", "--x", "60", "--y", "20"], (["--format", "csv"], ["--format", "json"])),
+            (["check", "--suite", "apostol", "--trials", "20"], ([],)),
+        )
+        for fmt in formats
+    ]
+    want = [run(capsys, *argv) for argv in runs]
+    assert all(code == 0 and out for code, out, _ in want)
+
+    def refuse(self, aid):
+        raise AssertionError("an Atom was built")
+
+    monkeypatch.setattr(MonoidInstance, "atom", refuse)
+    assert [run(capsys, *argv) for argv in runs] == want
+
+
 def test_repeat_runs_are_byte_identical(capsys):
     for argv in (
         ["count", "--instance", "q:-1", "--x", "5000", "--scan"],
@@ -625,6 +703,14 @@ def test_readme_cli_lines_parse():
             cli._check_bounds(args)
             seen.add(args.command)
     assert seen == set(subs)
+
+
+def test_every_subcommand_dispatches_through_its_parser():
+    parser, subs = _subcommands()
+    required = {"csum": ["--k", "1", "--m", "1"], "residue": ["--k", "2"]}
+    assert len(subs) == 8
+    for name in subs:
+        assert parser.parse_args([name, *required.get(name, [])]).run is getattr(cli, "cmd_" + name)
 
 
 def test_readme_option_table_matches_parser():
