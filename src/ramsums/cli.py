@@ -10,10 +10,8 @@ byte-identical across runs and worker counts for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
-import json
 import math
 import os
 import re
@@ -116,7 +114,12 @@ def _write(text: str, out_path: str | None) -> None:
         except OSError as exc:
             raise CLIError(f"cannot write --out: {exc}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except (AttributeError, OSError) as exc:  # AttributeError: stdout closed, sys.stdout None
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # the flush at exit cannot fail again
+            raise CLIError(f"cannot write stdout: {exc if sys.stdout else 'closed'}") from None
 
 
 def _check_out(path: str) -> None:
@@ -137,6 +140,7 @@ def emit_rows(header: list[str], rows, args: argparse.Namespace) -> None:
 
 
 def emit_json(obj, args: argparse.Namespace) -> None:
+    import json
     buf = io.StringIO()
     json.dump(obj, buf, sort_keys=True, indent=2)
     buf.write("\n")
@@ -284,8 +288,8 @@ def cmd_invariants(inst, args) -> int:
     if inv is None or inst.descriptor is None:
         raise CLIError(f"{inst.name} carries no field invariants; use a q:<d> instance")
     est, h_rounded = fields.class_number_from_counting(inst, args.x)
-    h_used = inv.h if inv.h is not None else h_rounded
-    c_f = fields.residue_constant(dataclasses.replace(inv, h=h_used))
+    h = inv.h or h_rounded  # FieldInvariants checks it; inv._replace(h=h) would not
+    c_f = fields.residue_constant(fields.FieldInvariants(**dict(inv._asdict(), h=h)))
     payload = {
         "instance": inst.name,
         "d": inst.descriptor.d,

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .monoid import MAX_HYPERBOLA, ZERO, DensityMeta, Element, LabelCodec, MonoidInstance
 
@@ -33,8 +31,7 @@ class InconclusiveEstimateError(ValueError):
     """A numeric estimate did not land close enough to an integer."""
 
 
-@dataclass(frozen=True)
-class QuadraticFieldDescriptor:
+class QuadraticFieldDescriptor(NamedTuple):
     d: int                      # squarefree, not 0 or 1
     discriminant: int           # d if d = 1 mod 4, else 4d
     signature: tuple[int, int]  # (r1, r2)
@@ -44,10 +41,7 @@ class QuadraticFieldDescriptor:
         return 2
 
 
-@dataclass(frozen=True)
-class FieldInvariants:
-    """Inputs of the residue formula 2**r1 * (2*pi)**r2 * R * h / (W * sqrt(D))."""
-
+class _FieldInvariants(NamedTuple):
     r1: int
     r2: int
     regulator: float
@@ -55,17 +49,23 @@ class FieldInvariants:
     roots_of_unity: int
     abs_disc: int
 
-    def __post_init__(self):
-        if self.roots_of_unity not in (2, 4, 6):
-            raise ValueError(f"bad root-of-unity count {self.roots_of_unity}")
-        if self.h is not None and self.h < 1:
-            raise ValueError(f"class number must be >= 1, got {self.h}")
-        if not self.regulator > 0:
+
+class FieldInvariants(_FieldInvariants):
+    """Inputs of the residue formula 2**r1 * (2*pi)**r2 * R * h / (W * sqrt(D))."""
+
+    __slots__ = ()
+
+    def __new__(cls, r1, r2, regulator, h, roots_of_unity, abs_disc):
+        if roots_of_unity not in (2, 4, 6):
+            raise ValueError(f"bad root-of-unity count {roots_of_unity}")
+        if h is not None and h < 1:
+            raise ValueError(f"class number must be >= 1, got {h}")
+        if not regulator > 0:
             raise ValueError("regulator must be positive")
+        return super().__new__(cls, r1, r2, regulator, h, roots_of_unity, abs_disc)
 
 
-@dataclass(frozen=True)
-class SplittingRecord:
+class SplittingRecord(NamedTuple):
     p: int
     kind: str                           # "split" | "inert" | "ramified"
     atoms: tuple[tuple[int, str], ...]  # (norm, label)
@@ -420,7 +420,7 @@ def fundamental_unit(d: int) -> tuple[int, int, int, int]:
 
 def _log_surd(u: int, v: int, d: int, denom: int) -> float:
     # log((u + v*sqrt(d)) / denom), robust when u and v overflow float range
-    return math.log(v) + math.log(float(Fraction(u, v)) + math.sqrt(d)) - math.log(denom)
+    return math.log(v) + math.log(u / v + math.sqrt(d)) - math.log(denom)
 
 
 def regulator_real(disc: int) -> float:

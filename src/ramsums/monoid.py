@@ -17,17 +17,15 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """A generator of the monoid: dense index, integer norm >= 2, stable label."""
 
     id: int
@@ -35,19 +33,23 @@ class Atom:
     label: str
 
 
-@dataclass(frozen=True)
-class DensityMeta:
-    """Leading coefficient c and error exponent alpha of the counting function
-    count_up_to(x) ~ c*x + O(x**alpha), when known."""
-
+class _DensityMeta(NamedTuple):
     c: float | None = None
     alpha: float | None = None
 
-    def __post_init__(self):
-        if self.c is not None and not self.c > 0:
+
+class DensityMeta(_DensityMeta):
+    """Leading coefficient c and error exponent alpha of the counting function
+    count_up_to(x) ~ c*x + O(x**alpha), when known."""
+
+    __slots__ = ()
+
+    def __new__(cls, c: float | None = None, alpha: float | None = None):
+        if c is not None and not c > 0:
             raise ValueError("c must be positive when known")
-        if self.alpha is not None and not self.alpha < 1:
+        if alpha is not None and not alpha < 1:
             raise ValueError("alpha must be < 1")
+        return super().__new__(cls, c, alpha)
 
 
 def _floor(x) -> int:
@@ -248,8 +250,7 @@ class DivisorLattice:
         return sub
 
 
-@dataclass(frozen=True)
-class LabelCodec:
+class LabelCodec(NamedTuple):
     """Two-way map between an atom's (norm, tag) and its label.
 
     ``format(norm, tag)`` gives the label.  ``parse(label)`` gives the

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from ramsums import MonoidInstance, cli, fields
 from ramsums.cli import format_element, make_instance, parse_element
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -620,6 +622,53 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
         assert (code, out) == (2, "") and not (tmp_path / "missing").exists()
         assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
         assert err.count("\n") == 1
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "stdout, reason", [(None, "closed"), (_FullStdout(), "[Errno 28] No space left on device")]
+)
+def test_failed_stdout_exits_2(capsys, monkeypatch, stdout, reason):
+    """A closed or failing stdout exits 2 with one line, and fd 1 then points
+    at os.devnull, so that the flush at interpreter exit cannot fail again."""
+    monkeypatch.setattr(sys, "stdout", stdout)
+    saved = os.dup(1)
+    try:
+        code = cli.main(["count", "--x", "10"])
+        on_devnull = os.path.samestat(os.fstat(1), os.stat(os.devnull))
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+    assert (code, capsys.readouterr().err) == (2, f"error: cannot write stdout: {reason}\n")
+    assert on_devnull
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_stdout_on_a_full_device_exits_2(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramsums", "count", "--x", "1e7", "--scan"],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_invariants_validates_the_rounded_class_number(capsys, monkeypatch):
+    # a rounded h of 0 must not reach the residue constant
+    monkeypatch.setattr(fields, "class_number_from_counting", lambda inst, x: (0.3, 0))
+    code, out, err = run(capsys, "invariants", "--instance", "q:5")
+    assert (code, out) == (2, "")
+    assert err == "error: class number must be >= 1, got 0\n"
 
 
 def test_failed_command_leaves_out_as_it_found_it(tmp_path, capsys, monkeypatch):

@@ -11,8 +11,11 @@ from oracles import (
     pell_unit,
 )
 from ramsums import (
+    Atom,
+    DensityMeta,
     FieldInvariants,
     InconclusiveEstimateError,
+    LabelCodec,
     class_number_from_counting,
     class_number_imaginary,
     factor_integer,
@@ -25,6 +28,8 @@ from ramsums import (
     split_prime,
 )
 from ramsums.fields import sieve_primes
+
+_INVARIANTS = {"r1": 0, "r2": 1, "regulator": 1.0, "h": 1, "roots_of_unity": 2, "abs_disc": 4}
 
 
 def test_sieve():
@@ -343,6 +348,30 @@ def test_residue_constant_examples(qi, q23, q2):
     assert math.isclose(residue_constant(inv), 0.623225, abs_tol=5e-7)
     with pytest.raises(ValueError):
         residue_constant(q2.invariants)  # class number not populated
+
+
+def test_field_invariants_check_their_values():
+    assert FieldInvariants(**dict(_INVARIANTS, h=None)).h is None
+    for bad in ({"roots_of_unity": 3}, {"h": 0}, {"regulator": 0}, {"regulator": -1.0}):
+        with pytest.raises(ValueError):
+            FieldInvariants(**dict(_INVARIANTS, **bad))
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (Atom(0, 2, "p2"), "norm"),
+        (DensityMeta(c=1.0), "c"),
+        (LabelCodec(str, str), "parse"),
+        (FieldInvariants(**_INVARIANTS), "h"),
+        (quadratic_field(-1).descriptor, "d"),
+        (split_prime(-4, 5), "kind"),
+    ],
+)
+def test_value_classes_are_immutable(value, field):
+    for name in (field, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 3)
 
 
 def test_class_number_from_counting(qi, q23):

@@ -14,16 +14,22 @@ import ramsums
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs in a fresh interpreter and prints which of the optional modules are
-# loaded after each step.
+#: Standard-library modules that the count path never runs: each costs
+#: start-up (``dataclasses`` pulls in ``inspect``, ``fractions`` pulls in
+#: ``decimal``), and of the probed commands only ``invariants`` writes JSON.
+_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "json")
+
+# Runs in a fresh interpreter and prints which of the optional modules, and
+# of the standard-library modules named after its output path, are loaded
+# after each step; it loads json itself only after the last step.
 _PROBE = """
-import json, sys
+import sys
 from ramsums import cli
 
 loaded = {}
 
 def step(name):
-    optional = ("numpy", "ramsums.arith", "ramsums.checks", "ramsums.csums")
+    optional = ("numpy", "ramsums.arith", "ramsums.checks", "ramsums.csums", *sys.argv[2:])
     loaded[name] = [m for m in optional if m in sys.modules]
 
 cli.build_parser()
@@ -38,6 +44,7 @@ cli.main(["invariants", "--instance", "q:-23", "--out", sys.argv[1]])
 step("invariants q:-23")
 cli.main(["count", "--instance", "q:-1000003", "--x", "1e7", "--out", sys.argv[1]])
 step("count q:-1000003")
+import json
 print(json.dumps(loaded))
 """
 
@@ -45,22 +52,35 @@ print(json.dumps(loaded))
 def test_commands_load_only_what_they_use(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    probe = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(tmp_path / "out.csv")],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert probe.returncode == 0, probe.stderr
-    assert json.loads(probe.stdout) == {
+
+    def python(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    # what a bare interpreter here already loads (a site hook, say) is no command's doing
+    bare = python(f"import sys; print(*(m for m in {_STDLIB!r} if m in sys.modules))").split()
+    loaded = json.loads(python(_PROBE, str(tmp_path / "out.csv"), *_STDLIB))
+    assert {name: [m for m in mods if m not in _STDLIB] for name, mods in loaded.items()} == {
         "parser": [],
         "count z": [],
         "q:-23": [],
         "count q:-1": [],
         "invariants q:-23": [],
         "count q:-1000003": ["numpy"],
+    }
+    stdlib = {name: [m for m in mods if m in _STDLIB and m not in bare]
+              for name, mods in loaded.items()}
+    del stdlib["count q:-1000003"]  # numpy loads inspect itself
+    assert stdlib == {
+        "parser": [],
+        "count z": [],
+        "q:-23": [],
+        "count q:-1": [],
+        "invariants q:-23": ["json"],
     }
 
 

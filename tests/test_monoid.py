@@ -8,11 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gaussian_ideal_counts
-from ramsums import ZERO, Element, factor_integer
+from ramsums import ZERO, DensityMeta, Element, factor_integer
 
 
 def z_el(zint, n):
     return factor_integer(zint, n)
+
+
+# -- value classes -----------------------------------------------------
+
+
+def test_density_meta_checks_its_values():
+    assert (DensityMeta().c, DensityMeta(1.0, 0.5).alpha) == (None, 0.5)
+    for bad in ({"c": 0}, {"c": -1.0}, {"alpha": 1}):
+        with pytest.raises(ValueError):
+            DensityMeta(**bad)
 
 
 # -- element algebra --------------------------------------------------
