@@ -55,26 +55,19 @@ def suite_th1(inst: MonoidInstance, bound: int) -> dict:
 def suite_th2(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict:
     """Divisibility identity for every pair (M, N) with norms <= bound.
 
-    ``downset`` holds the n elements of norm <= bound.  The columns M go in
-    chunks of w = :func:`chunk_width` (n), each an n x w int64
-    :func:`csum_block` with rows D, turned in place into the left side, the
+    ``downset`` holds the n elements of norm <= bound, read once as the rows
+    D.  The columns M go in chunks of w = :func:`chunk_width` (n), each an
+    n x w int64 :func:`csum_block`, turned in place into the left side, the
     sum of csum(D, M) over the divisors D of N (the zeta transform over the
-    divisor lattice): for each atom power P**e, exponents ascending, the rows
+    divisor lattice): for each of the rows' groups P**e, in order, the rows
     of the N that P**e exactly divides add the row of N with P's exponent
     lowered by one.  The right side, norm(N) where N divides M, is then
     subtracted at the chunk's divisor pairs.  Every nonzero entry is a
     failure, listed N-major.
     """
     elems, index, n = downset.elems, downset.index, len(downset.elems)
-    groups = {}
-    for i, e in enumerate(elems):
-        exps = e.exps
-        for t, (aid, x) in enumerate(exps):
-            lowered = ((aid, x - 1),) if x > 1 else ()
-            children, parents = groups.setdefault((aid, x), ([], []))
-            children.append(i)
-            parents.append(index[Element(exps[:t] + lowered + exps[t + 1 :])])
-    sweeps = [tuple(np.array(side, np.intp) for side in groups[key]) for key in sorted(groups)]
+    sweeps = [(kids, np.array([index[elems[i].sub(Element(((aid, 1),)))] for i in kids.tolist()]))
+              for aid, _, kids in elems.groups]
     norms, width = np.array(downset.norms, np.int64), chunk_width(n)
     bad = []
     for c in range(0, n, width):
@@ -185,9 +178,9 @@ def suite_oracle(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> d
     definitional sum; it depends on m only through m mod k, and all k
     residues come from one DFT (:func:`_trig_sums`).  Row k of csum(k, m)
     for every m <= bound is compared with it; the rows come from
-    :func:`csum_block`, :func:`chunk_width` (bound) rows a call.  The
-    downset's elements must be the integers 1..bound, fixed on Z by their
-    norms, else RuntimeError.
+    :func:`csum_block`, :func:`chunk_width` (bound) rows a call against the
+    downset's elements, read once.  Those must be the integers 1..bound,
+    fixed on Z by their norms, else RuntimeError.
     """
     if downset.norms != list(range(1, bound + 1)):
         raise RuntimeError(f"the downset's elements are not the integers 1..{bound}")
@@ -210,7 +203,7 @@ def run_suite(
     suite but th1 and apostol then reads one :class:`DivisorDownset` over
     the n elements of norm <= bound, built here and dropped on return: th2
     and holder its divisor positions, and th2 and oracle check all n**2
-    pairs, each evaluating csum in :func:`chunk_width` chunks.  Before any
+    pairs in :func:`chunk_width` chunks against its elements, read once.  Before any
     work, a suite that checks the pairs raises ValueError when n**2 passes
     MAX_PAIRS, counting n by :func:`cli.refuse_pairs`.
     """

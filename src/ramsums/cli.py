@@ -229,7 +229,7 @@ def cmd_table(inst, args) -> int:
         f"--x {args.x} and --y {args.y} give at least {n_k} x {n_m} rows, above the limit of "
         f"{MAX_TABLE_ROWS}; lower --x or --y"))
     ks = list(inst.enumerate_up_to(args.y))
-    ms = list(inst.enumerate_up_to(args.x))
+    ms = csums.CsumSide(inst, inst.enumerate_up_to(args.x))
     mtext, step = [format_element(inst, m) for m in ms], csums.chunk_width(len(ms))
     chunks = (ks[r0 : r0 + step] for r0 in range(0, len(ks), step))
     rows = chain.from_iterable(
@@ -288,8 +288,7 @@ def cmd_invariants(inst, args) -> int:
     if inv is None or inst.descriptor is None:
         raise CLIError(f"{inst.name} carries no field invariants; use a q:<d> instance")
     est, h_rounded = fields.class_number_from_counting(inst, args.x)
-    h = inv.h or h_rounded  # FieldInvariants checks it; inv._replace(h=h) would not
-    c_f = fields.residue_constant(fields.FieldInvariants(**dict(inv._asdict(), h=h)))
+    c_f = fields.residue_constant(inv._replace(h=inv.h or h_rounded))
     payload = {
         "instance": inst.name,
         "d": inst.descriptor.d,

@@ -21,7 +21,8 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -84,39 +85,46 @@ def ramanujan_sum(inst: MonoidInstance, k: Element, m: Element) -> int:
     return total
 
 
+class CsumSide(list):
+    """One side of :func:`csum_block`, its elements' atom powers read once:
+    ``aid``, ``exp`` and ``pos`` hold each (atom, exponent) pair with the
+    element's position, by atom power, then position.  As rows, ``groups``
+    lists (atom id, e, positions) per atom power and refuses norms past int64."""
+
+    def __init__(self, inst: MonoidInstance, elems):
+        super().__init__(elems)
+        self.inst, at = inst, np.fromiter(chain.from_iterable(
+            (aid, e, i) for i, m in enumerate(self) for aid, e in m.exps), np.int64).reshape(-1, 3).T
+        self.aid, self.exp, self.pos = at[:, np.lexsort(at[1::-1])]
+
+    @cached_property
+    def groups(self) -> list[tuple[int, int, np.ndarray]]:
+        if max(map(self.inst.norm, self), default=1) > np.iinfo(np.int64).max:
+            raise OverflowError("csum_block: a norm of ks exceeds the int64 range")
+        starts = np.flatnonzero(np.diff(self.aid, prepend=-1) | np.diff(self.exp, prepend=0))
+        return [*zip(self.aid[starts].tolist(), self.exp[starts].tolist(), np.split(self.pos, starts[1:]))]
+
+
 def csum_block(inst: MonoidInstance, ks, ms) -> np.ndarray:
     """csum(K, M) for every K in ``ks`` (rows) and M in ``ms`` (columns), as
-    an int64 array of shape len(ks) x len(ms).
+    an int64 array of shape len(ks) x len(ms); a side not yet a
+    :class:`CsumSide` is read into one.
 
     :func:`ramanujan_sum`'s Euler product applied to whole rows: for each
-    atom power P**e that exactly divides some K, the rows of those K are
-    multiplied by one column vector read off the exponents of P in the
-    columns: N(P)**e - N(P)**(e-1) where M's exponent is at least e,
+    atom power P**e of the row groups, the rows of the K that P**e exactly
+    divides are multiplied by one column vector read off the exponents of P
+    in the columns: N(P)**e - N(P)**(e-1) where M's exponent is at least e,
     -N(P)**(e-1) where it is e - 1, and 0 where it is lower.  An atom that
     does not divide K contributes 1.  Every partial product is at most N(K)
-    in size, so OverflowError is raised when some N(K) exceeds int64.  The
-    exponents of the row atoms in the columns are read in one pass into one
-    int8 array, capped at the largest row exponent (at most 62), which
-    keeps both comparisons exact.
+    in size, so OverflowError is raised when some N(K) exceeds int64.
     """
-    ks, ms = list(ks), list(ms)
-    if max(map(inst.norm, ks), default=1) > np.iinfo(np.int64).max:
-        raise OverflowError("csum_block: a norm of ks exceeds the int64 range")
-    rows = {}
-    for i, k in enumerate(ks):
-        for power in k.exps:
-            rows.setdefault(power, []).append(i)
-    atom = {aid: r for r, aid in enumerate(dict.fromkeys(aid for aid, _ in rows))}
-    top = max((e for _, e in rows), default=0)
-    at = (v for j, m in enumerate(ms) for aid, e in m.exps if aid in atom
-          for v in (atom[aid], j, min(e, top)))
-    at = np.fromiter(at, np.intp).reshape(-1, 3)
-    mexps = np.zeros((len(atom), len(ms)), np.int8)
-    mexps[at[:, 0], at[:, 1]] = at[:, 2]
+    ks, ms = (s if isinstance(s, CsumSide) else CsumSide(inst, s) for s in (ks, ms))
+    spans = np.searchsorted(ms.aid, [(aid, aid + 1) for aid, _, _ in ks.groups]).tolist()
     out = np.ones((len(ks), len(ms)), np.int64)
-    for (aid, e), idx in rows.items():
-        q, me = inst.norms[aid], mexps[atom[aid]]
-        out[idx] *= np.where(me >= e, q**e - q ** (e - 1), np.where(me == e - 1, -(q ** (e - 1)), 0))
+    for (aid, e, rows), (lo, hi) in zip(ks.groups, spans):
+        q, me = inst.norms[aid], np.zeros(len(ms), np.int64)
+        me[ms.pos[lo:hi]] = ms.exp[lo:hi]
+        out[rows] *= np.where(me >= e, q**e - q ** (e - 1), np.where(me == e - 1, -(q ** (e - 1)), 0))
     return out
 
 
@@ -177,12 +185,12 @@ class DivisorDownset:
     each element to its position and ``norms`` holds their norms.  These
     take O(len(elems) + sum of tau(N)) memory and are built at once; a
     divisor of some element missing from ``elems`` raises ValueError.
-    No csum value is stored: the check suites evaluate them in chunks
-    with :func:`csum_block`.
+    ``elems`` is a :class:`CsumSide`, read once for every :func:`csum_block`
+    chunk the check suites evaluate against it; no csum value is stored.
     """
 
     def __init__(self, inst: MonoidInstance, elems):
-        self.elems = list(elems)
+        self.elems = CsumSide(inst, elems)
         self.norms = [inst.norm(e) for e in self.elems]
         self.index = index = {e: i for i, e in enumerate(self.elems)}
         try:
@@ -413,7 +421,7 @@ def residue_scan(inst: MonoidInstance, k: Element, points, mode: str = "grouped"
     else:
         per_norm = np.zeros(ends[-1] + 1, np.int64)
         if all(inst.norms[aid] ** (e - 1) <= ends[-1] for aid, e in k.exps):
-            powers = [Element((p,)) for p in k.exps]
+            powers = CsumSide(inst, [Element((p,)) for p in k.exps])
             scan = _HeadScan(inst, [ends[-1]], [1 + k.exps[-1][0]])
             for norm, _, head in scan:
                 heads, at = np.unique(head, return_inverse=True)
@@ -548,7 +556,7 @@ def _direct_sums(inst: MonoidInstance, points: set[tuple[int, int]]) -> dict[tup
     xs = sorted({x for x, _ in points})
     ys = [sorted({y for px, y in points if px >= x}) for x in xs]
     nb, yall = len(xs), ys[0]
-    ks = list(inst.enumerate_up_to(yall[-1]))
+    ks = CsumSide(inst, inst.enumerate_up_to(yall[-1]))
     knorms = np.array([inst.norm(k) for k in ks], np.int64)
     # one past the last atom of norm <= Y_i: every K of norm <= Y_i has its
     # atoms below it, and every such atom is itself a K

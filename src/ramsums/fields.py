@@ -54,6 +54,7 @@ class FieldInvariants(_FieldInvariants):
     """Inputs of the residue formula 2**r1 * (2*pi)**r2 * R * h / (W * sqrt(D))."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, r1, r2, regulator, h, roots_of_unity, abs_disc):
         if roots_of_unity not in (2, 4, 6):

@@ -43,6 +43,7 @@ class DensityMeta(_DensityMeta):
     count_up_to(x) ~ c*x + O(x**alpha), when known."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, c: float | None = None, alpha: float | None = None):
         if c is not None and not c > 0:

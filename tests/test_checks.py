@@ -292,6 +292,32 @@ def test_th2_failure_list_across_chunk_widths(monkeypatch, name, bound, corrupt)
     assert size % 7
 
 
+def test_each_fixed_csum_side_is_read_once(zint, monkeypatch, capsys):
+    """At w = 7, z@60 takes 9 chunks and table --x 300 --y 100 takes 15.  The
+    fixed side, th2's rows and oracle's columns (the downset's elements, one
+    side for both under "all") and table's columns, is read into a CsumSide
+    once; each chunk is read once, in the kernel."""
+    monkeypatch.setattr(csums, "_CHUNK_ITEMS", 1)
+    monkeypatch.setattr(csums, "_MIN_CHUNK_WIDTH", 7)
+    real, sizes = csums.CsumSide.__init__, []
+
+    def spy(self, inst, elems):
+        real(self, inst, elems)
+        sizes.append(len(self))
+
+    monkeypatch.setattr(csums.CsumSide, "__init__", spy)
+    chunks = [7] * 8 + [4]
+    for suite, want in (("th2", chunks), ("oracle", chunks), ("all", chunks * 2)):
+        sizes.clear()
+        report = checks.run_suite(zint, suite, bound=60, trials=5)
+        assert not report.get("failures") and not report.get("failures_total")
+        assert sizes == [60, *want], suite
+    sizes.clear()
+    assert cli.main(["table", "--instance", "z", "--x", "300", "--y", "100"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 100 * 300
+    assert sizes == [300, *[7] * 14, 2]
+
+
 def test_th2_peak_memory_stays_within_four_chunks(zint):
     """th2's n x w column chunks and oracle's w x n row chunks, at z@2000."""
     n = 2000

@@ -143,17 +143,34 @@ def test_csum_block_matches_scalar_evaluator(request, name, bound):
     # per-atom factors
     inst = request.getfixturevalue(name)
     elems = list(inst.enumerate_up_to(bound))
-    for ks, ms in ((elems, elems), (elems[::3], elems[1::2]), ([], elems), (elems, [])):
-        block = csum_block(inst, ks, ms)
-        assert block.dtype == np.int64 and block.shape == (len(ks), len(ms))
-        assert block.tolist() == [[ramanujan_sum(inst, k, m) for m in ms] for k in ks]
+    cases = [(elems, elems), (elems[::3], elems[1::2]), ([], elems), (elems, []), ([ZERO], elems),
+             (elems, [ZERO])]
+    for ks, ms in cases:
+        want = [[ramanujan_sum(inst, k, m) for m in ms] for k in ks]
+        for rows, cols in _prepared(inst, ks, ms):
+            block = csum_block(inst, rows, cols)
+            assert block.dtype == np.int64 and block.shape == (len(ks), len(ms))
+            assert block.tolist() == want
+
+
+def _prepared(inst, ks, ms):
+    """(ks, ms) as lists, then with the rows, the columns and both read into
+    a CsumSide; each prepared side serves two calls."""
+    rows, cols = csums.CsumSide(inst, ks), csums.CsumSide(inst, ms)
+    return [(ks, ms), (rows, ms), (ks, cols), (rows, cols)]
 
 
 def test_csum_block_refuses_norms_past_int64(zint):
-    two = z_el(zint, 2)
-    assert csum_block(zint, [Element(((two.exps[0][0], 62),))], [ZERO]).tolist() == [[0]]
-    with pytest.raises(OverflowError):
-        csum_block(zint, [Element(((two.exps[0][0], 63),))], [ZERO])
+    two = z_el(zint, 2).exps[0][0]
+    fits, past = Element(((two, 62),)), Element(((two, 63),))
+    for rows, cols in _prepared(zint, [fits], [ZERO]):
+        assert csum_block(zint, rows, cols).tolist() == [[0]]
+    for rows, cols in _prepared(zint, [past], [ZERO]):
+        with pytest.raises(OverflowError):
+            csum_block(zint, rows, cols)
+    # only the rows are refused: csum(1, M) = 1 at a column of any norm
+    for rows, cols in _prepared(zint, [ZERO], [past]):
+        assert csum_block(zint, rows, cols).tolist() == [[1]]
 
 
 def test_csum_block_reads_column_exponents_above_127(zint, qi):
@@ -165,9 +182,10 @@ def test_csum_block_reads_column_exponents_above_127(zint, qi):
     ms = [Element(((p, 128),)), Element(((p, 300), (q, 1))), Element(((p, 4), (q, 130))), ZERO]
     cases.append((qi, list(qi.enumerate_up_to(40)), ms))
     for inst, ks, ms in cases:
-        block = csum_block(inst, ks, ms)
-        assert block.tolist() == [[ramanujan_sum(inst, k, m) for m in ms] for k in ks]
-        assert block.any()
+        for rows, cols in _prepared(inst, ks, ms):
+            block = csum_block(inst, rows, cols)
+            assert block.tolist() == [[ramanujan_sum(inst, k, m) for m in ms] for k in ks]
+            assert block.any()
 
 
 def test_csum_against_trig_oracle(zint):

@@ -352,9 +352,17 @@ def test_residue_constant_examples(qi, q23, q2):
 
 def test_field_invariants_check_their_values():
     assert FieldInvariants(**dict(_INVARIANTS, h=None)).h is None
+    good = FieldInvariants(0, 1, 1.0, 1, 2, 4)
+    assert good._replace(h=3) == FieldInvariants(0, 1, 1.0, 3, 2, 4)
+    assert type(good._replace(h=3)) is FieldInvariants
     for bad in ({"roots_of_unity": 3}, {"h": 0}, {"regulator": 0}, {"regulator": -1.0}):
         with pytest.raises(ValueError):
             FieldInvariants(**dict(_INVARIANTS, **bad))
+        # _replace and _make build through the constructor's checks too
+        with pytest.raises(ValueError):
+            good._replace(**bad)
+        with pytest.raises(ValueError):
+            FieldInvariants._make(dict(_INVARIANTS, **bad).values())
 
 
 @pytest.mark.parametrize(

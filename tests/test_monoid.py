@@ -20,9 +20,15 @@ def z_el(zint, n):
 
 def test_density_meta_checks_its_values():
     assert (DensityMeta().c, DensityMeta(1.0, 0.5).alpha) == (None, 0.5)
+    assert DensityMeta(1.0)._replace(alpha=0.5) == DensityMeta(1.0, 0.5)
     for bad in ({"c": 0}, {"c": -1.0}, {"alpha": 1}):
         with pytest.raises(ValueError):
             DensityMeta(**bad)
+        # _replace and _make build through the constructor's checks too
+        with pytest.raises(ValueError):
+            DensityMeta(1.0)._replace(**bad)
+        with pytest.raises(ValueError):
+            DensityMeta._make(dict({"c": None, "alpha": None}, **bad).values())
 
 
 # -- element algebra --------------------------------------------------
