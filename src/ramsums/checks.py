@@ -44,9 +44,8 @@ def _report(suite: str, inst: MonoidInstance, **fields) -> dict:
     return {"suite": suite, "instance": inst.name, **fields}
 
 
-def suite_th1(inst: MonoidInstance, bound: int) -> dict:
-    """Divisor-sum identity for every element with norm <= bound."""
-    ks = list(inst.enumerate_up_to(bound))
+def suite_th1(inst: MonoidInstance, bound: int, ks: list[Element]) -> dict:
+    """Divisor-sum identity for each of ``ks``, the elements with norm <= bound."""
     reports = _pmap(lambda k: divisor_sum_identity(inst, k), ks, 1)
     failures = [r.context for r in reports if not r.passed]
     return _report("th1", inst, bound=bound, checked=len(ks), failures=failures)
@@ -197,15 +196,17 @@ def suite_oracle(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> d
 def run_suite(
     inst: MonoidInstance, suite: str, bound: int = 200, trials: int = 100, seed: int = 0
 ) -> dict:
-    """Run one suite, or every suite that applies to ``inst`` for "all".
+    """Run one suite, or for "all" every suite of SUITES that applies to ``inst``.
 
-    The suite name, and the oracle's instance, are checked first.  Every
-    suite but th1 and apostol then reads one :class:`DivisorDownset` over
-    the n elements of norm <= bound, built here and dropped on return: th2
-    and holder its divisor positions, and th2 and oracle check all n**2
-    pairs in :func:`chunk_width` chunks against its elements, read once.  Before any
-    work, a suite that checks the pairs raises ValueError when n**2 passes
-    MAX_PAIRS, counting n by :func:`cli.refuse_pairs`.
+    The suite name, and the oracle's instance, are checked first.  Before
+    any work, a suite that checks the pairs raises ValueError when n**2
+    passes MAX_PAIRS, counting n by :func:`cli.refuse_pairs`.  The n
+    elements of norm <= bound are then enumerated once, unless apostol runs
+    alone: th1 reads the list, and th2, holder and oracle one
+    :class:`DivisorDownset` over it, built here and dropped on return.  The
+    suites run in one loop, each looked up in the module when it is called,
+    so a ``suite_*`` rebound by attribute (the benchmark's traced mode times
+    them so) takes effect.
     """
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
@@ -215,24 +216,13 @@ def run_suite(
         refuse_pairs(inst, (bound, bound), MAX_PAIRS, lambda n, _: (
             f"--bound {bound} gives at least {n} elements, {n * n} pairs to check, "
             f"above the limit of {MAX_PAIRS}; lower --bound"))
-    if suite == "th1":
-        return suite_th1(inst, bound)
-    if suite == "apostol":
-        return suite_apostol(inst, trials, seed)
-    downset = DivisorDownset(inst, inst.enumerate_up_to(bound))
-    if suite == "th2":
-        return suite_th2(inst, bound, downset)
-    if suite == "holder":
-        return suite_holder(inst, bound, seed, downset)
-    if suite == "oracle":
-        return suite_oracle(inst, bound, downset)
-    parts = [
-        suite_th1(inst, bound),
-        suite_th2(inst, bound, downset),
-        suite_apostol(inst, trials, seed),
-        suite_holder(inst, bound, seed, downset),
-    ]
-    if inst.parses_integers:
-        parts.append(suite_oracle(inst, bound, downset))
+    elems = [] if suite == "apostol" else list(inst.enumerate_up_to(bound))
+    downset = None if suite in ("th1", "apostol") else DivisorDownset(inst, elems)
+    names = [s for s in SUITES if suite in (s, "all") and (s != "oracle" or inst.parses_integers)]
+    args = {"th1": (bound, elems), "th2": (bound, downset), "apostol": (trials, seed),
+            "holder": (bound, seed, downset), "oracle": (bound, downset)}
+    parts = [globals()[f"suite_{name}"](inst, *args[name]) for name in names]
+    if suite != "all":
+        return parts[0]
     total = sum(len(p["failures"]) for p in parts)
     return _report("all", inst, suites=parts, failures_total=total)

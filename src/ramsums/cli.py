@@ -31,6 +31,12 @@ MAX_TABLE_ROWS = 4 * 10**6
 #: The suites of ``check`` (``checks.SUITES``), here so that building the
 #: parser does not load the suites and numpy.
 SUITES = ("th1", "th2", "apostol", "holder", "oracle")
+#: Element specs are refused above norm 2**MAX_SPEC_BITS, and ``residue``'s K
+#: above MAX_DIVISORS divisors.  At x = 10 on a 2-core x86-64 box, K = p2^4096
+#: takes 0.2 s and 31 MiB, and the product of the first 16 primes (65536
+#: divisors) 0.5 s and 51 MiB.
+MAX_SPEC_BITS = 4096
+MAX_DIVISORS = 2**16
 
 
 class CLIError(Exception):
@@ -48,8 +54,10 @@ def parse_element(inst: MonoidInstance, text: str) -> Element:
     t = text.strip()
     if not t:
         raise CLIError("empty element spec")
+    too_large = CLIError(f"element spec {t!r} has a norm above 2^{MAX_SPEC_BITS}")
     if t.isdigit():
-        n = int(t)
+        if len(t.lstrip("0")) > MAX_SPEC_BITS or (n := int(t)) > 1 << MAX_SPEC_BITS:
+            raise too_large
         if inst.parses_integers:
             return fields.factor_integer(inst, n)
         if n == 1:
@@ -58,15 +66,19 @@ def parse_element(inst: MonoidInstance, text: str) -> Element:
             f"integer specs are only parsed over Z; use atom labels for {inst.name}"
         )
     exps: dict[int, int] = {}
+    bits = 0.0  # log2 of the norm, summed without forming it
     for part in t.split("*"):
         m = _LABEL_RE.match(part.strip())
         if not m:
             raise CLIError(f"bad atom power {part.strip()!r}")
-        label, power = m.group(1), int(m.group(2) or 1)
+        label, power = m.group(1), m.group(2) or "1"
         atom = inst.atom_by_label(label)
         if atom is None:
             raise CLIError(f"unknown atom label {label!r} in {inst.name}")
-        exps[atom.id] = exps.get(atom.id, 0) + power
+        bits += float(power) * math.log2(inst.norms[atom.id])
+        if bits > MAX_SPEC_BITS:
+            raise too_large
+        exps[atom.id] = exps.get(atom.id, 0) + int(power)
     return Element.of(exps)
 
 
@@ -261,6 +273,8 @@ def cmd_residue(inst, args) -> int:
     k = parse_element(inst, args.k)
     if k.is_zero:
         raise CLIError("k must be a nonzero element")
+    if math.prod(e + 1 for _, e in k.exps) > MAX_DIVISORS:
+        raise CLIError(f"--k {args.k!r} has more than {MAX_DIVISORS} divisors")
     mode = "direct" if args.direct else "grouped"
     target = csums.residue_target(inst, k)
     points = _scan_points(args.x) if args.scan else [args.x]

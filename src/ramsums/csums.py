@@ -114,7 +114,8 @@ def csum_block(inst: MonoidInstance, ks, ms) -> np.ndarray:
     atom power P**e of the row groups, the rows of the K that P**e exactly
     divides are multiplied by one column vector read off the exponents of P
     in the columns: N(P)**e - N(P)**(e-1) where M's exponent is at least e,
-    -N(P)**(e-1) where it is e - 1, and 0 where it is lower.  An atom that
+    -N(P)**(e-1) where it is e - 1, and 0 where it is lower; when no column
+    holds P, the rows are multiplied by that scalar, -1 or 0.  An atom that
     does not divide K contributes 1.  Every partial product is at most N(K)
     in size, so OverflowError is raised when some N(K) exceeds int64.
     """
@@ -122,6 +123,9 @@ def csum_block(inst: MonoidInstance, ks, ms) -> np.ndarray:
     spans = np.searchsorted(ms.aid, [(aid, aid + 1) for aid, _, _ in ks.groups]).tolist()
     out = np.ones((len(ks), len(ms)), np.int64)
     for (aid, e, rows), (lo, hi) in zip(ks.groups, spans):
+        if lo == hi:  # no column holds P: the factor is -1 (e = 1) or 0 at every column
+            out[rows] *= -(e == 1)
+            continue
         q, me = inst.norms[aid], np.zeros(len(ms), np.int64)
         me[ms.pos[lo:hi]] = ms.exp[lo:hi]
         out[rows] *= np.where(me >= e, q**e - q ** (e - 1), np.where(me == e - 1, -(q ** (e - 1)), 0))

@@ -180,6 +180,39 @@ def test_run_suite_refuses_before_it_builds_a_downset(zint, q23, monkeypatch):
         checks.run_suite(q23, "oracle")
 
 
+def test_run_suite_enumerates_the_elements_once(monkeypatch):
+    """th1 reads the list the downset is built from; apostol alone reads none."""
+    calls, real = [], MonoidInstance.enumerate_up_to
+    monkeypatch.setattr(MonoidInstance, "enumerate_up_to", lambda self, x: calls.append(x) or real(self, x))
+    for name, suite, want in (
+        ("z", "all", [30]), ("q:-23", "all", [30]), ("z", "th1", [30]), ("z", "th2", [30]),
+        ("z", "holder", [30]), ("z", "oracle", [30]), ("z", "apostol", []),
+    ):
+        calls.clear()
+        checks.run_suite(cli.make_instance(name), suite, bound=30, trials=3)
+        assert (name, suite, calls) == (name, suite, want)
+
+
+@pytest.mark.parametrize("name,bound", [("z", 60), ("q:-23", 40)])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_each_part_of_all_is_its_single_suite_report(monkeypatch, name, bound, corrupt):
+    """Every part of an ``all`` report equals the report of its suite run
+    alone on the same inputs, clean and with one csum pair off by one."""
+    inst = cli.make_instance(name)
+    if corrupt:
+        inst.ensure_atom_count(2)
+        p = Element(((1, 1),))
+        _sabotage_csum(monkeypatch, p, p)
+    report = checks.run_suite(inst, "all", bound=bound, trials=20, seed=SEED)
+    singles = [
+        checks.run_suite(inst, suite, bound=bound, trials=20, seed=SEED)
+        for suite in checks.SUITES if inst.parses_integers or suite != "oracle"
+    ]
+    assert report["suites"] == singles
+    assert report["failures_total"] == sum(len(part["failures"]) for part in singles)
+    assert (report["failures_total"] > 0) == corrupt
+
+
 @pytest.mark.parametrize(
     "name,suite", [("z", "th2"), ("z", "oracle"), ("z", "all"), ("q:-23", "all")]
 )

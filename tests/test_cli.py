@@ -65,6 +65,47 @@ def test_parse_errors(zint, qi):
         parse_element(qi, "p7a")  # 7 is inert in Q(i)
 
 
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+
+@pytest.mark.parametrize("argv,spec", [
+    ("residue --instance q:-1 --k p2r^99999999999 --x 10", "p2r^99999999999"),
+    ("residue --k p2^1000000 --x 10", "p2^1000000"),
+    ("residue --k p2^99999999999 --x 10 --direct", "p2^99999999999"),
+    ("csum --k p2^99999999999 --m p2^99999999999", "p2^99999999999"),
+    ("csum --k p2^100000 --m p2^100000", "p2^100000"),
+    (f"csum --k {2**4096 + 1} --m 2", str(2**4096 + 1)),
+    (f"residue --k {math.prod(_FIRST_PRIMES)} --x 10", str(math.prod(_FIRST_PRIMES))),
+])
+def test_oversized_element_specs_exit_2_before_any_work(argv, spec):
+    """A spec whose norm passes 2**4096, or a residue K with more than 2**16
+    divisors, is one error line naming it, in a child whose address space
+    is limited to 1 GB; unbounded, these exhaust memory or print Python's
+    own digit-limit text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramsums", *argv.split()], env=env, capture_output=True,
+        text=True, timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert spec in proc.stderr
+
+
+def test_element_specs_at_the_limits_run(capsys, zint):
+    assert zint.norm(parse_element(zint, "p2^4096")) == zint.norm(parse_element(zint, str(2**4096)))
+    assert run(capsys, "csum", "--k", "p2^4096", "--m", "p2^4096") == (0, f"{2**4095}\n", "")
+    code, out, err = run(capsys, "residue", "--k", str(math.prod(_FIRST_PRIMES[:16])), "--x", "10")
+    assert (code, err) == (0, "") and out.startswith("x,estimate,target,abs_err\n10,")
+
+
 def test_make_instance():
     assert make_instance("z").name == "Z"
     assert make_instance("q:-1").descriptor.d == -1
@@ -598,7 +639,12 @@ def test_traced_benchmark_mode_runs(tmp_path, capsys):
     )
     code, out, _ = run(capsys, *argv)
     assert (traced.returncode, traced.stdout) == (0, out) and code == 0
-    assert json.loads(stats.read_text())["monoid.divisors.calls"] > 0
+    stats = json.loads(stats.read_text())
+    assert stats["monoid.divisors.calls"] > 0
+    # the 58 elements of norm <= 30 are enumerated once, and each suite is
+    # timed through the name the traced mode rebinds
+    assert (stats["monoid.enumerate_up_to.calls"], stats["monoid.enumerate_up_to.elements"]) == (1, 58)
+    assert {f"checks.suite_{s}.self_s" for s in ("th1", "th2", "apostol", "holder")} <= stats.keys()
 
 
 def test_out_file(tmp_path, capsys):
