@@ -24,16 +24,17 @@ _EXPORTS = {
         "arith": "COMPLEX FLOAT INT RATIONAL ArithFn DownsetTable abel_sum convolve delta"
         " dirichlet_inverse jordan_totient mobius mobius_fn norm_fn one von_mangoldt"
         " von_mangoldt_by_divisors",
-        "csums": "DivisorDownset DoubleSumReport IdentityReport ZetaTruncation"
-        " common_divisor_sum csum_block density_fit divisibility_identity"
-        " divisor_sum_identity double_sum double_sums first_argument_convolution"
-        " fit_bound_constant fixed_k_partial harmonic_partial jordan_like_local_form"
-        " mobius_pair_profile ramanujan_sum residue_scan residue_series residue_target"
-        " second_argument_convolution zeta_partial",
+        "csums": "DivisorDownset DoubleSumReport IdentityReport common_divisor_sum csum_block"
+        " divisibility_identity divisor_sum_identity double_sum double_sums"
+        " first_argument_convolution jordan_like_local_form ramanujan_sum"
+        " second_argument_convolution",
         "fields": "FieldInvariants InconclusiveEstimateError QuadraticFieldDescriptor"
         " SplittingRecord class_number_from_counting class_number_imaginary factor_integer"
         " fundamental_unit kronecker quadratic_field rational_integers regulator_real"
         " residue_constant split_prime",
+        "series": "ZetaTruncation density_fit fit_bound_constant fixed_k_partial"
+        " harmonic_partial mobius_pair_profile residue_scan residue_series residue_target"
+        " zeta_partial",
         "monoid": "ZERO Atom DensityMeta Element LabelCodec MonoidInstance",
     }.items()
     for name in names.split()

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .monoid import DivisorLattice, Element, MonoidInstance
 
@@ -22,8 +20,7 @@ FLOAT = "float"
 COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
-class ArithFn:
+class ArithFn(NamedTuple):
     """A pure function on elements, tagged with its value ring."""
 
     fn: Callable[[Element], object]
@@ -34,13 +31,12 @@ class ArithFn:
         return self.fn(e)
 
 
-# (unit, zero) of each value ring
-_UNIT_ZERO = {
-    INT: (1, 0),
-    RATIONAL: (Fraction(1), Fraction(0)),
-    FLOAT: (1.0, 0.0),
-    COMPLEX: (1 + 0j, 0j),
-}
+def _unit_zero(ring: str) -> tuple:
+    """(unit, zero) of a value ring; ``fractions`` loads only for RATIONAL."""
+    if ring != RATIONAL:
+        return {INT: (1, 0), FLOAT: (1.0, 0.0), COMPLEX: (1 + 0j, 0j)}[ring]
+    from fractions import Fraction
+    return Fraction(1), Fraction(0)
 
 
 def _check_ring(*fns: ArithFn) -> str:
@@ -65,12 +61,12 @@ def mobius_fn() -> ArithFn:
 
 
 def one(ring: str = INT) -> ArithFn:
-    unit = _UNIT_ZERO[ring][0]
+    unit = _unit_zero(ring)[0]
     return ArithFn(lambda e: unit, ring, "1")
 
 
 def delta(ring: str = INT) -> ArithFn:
-    unit, zero = _UNIT_ZERO[ring]
+    unit, zero = _unit_zero(ring)
     return ArithFn(lambda e: unit if e.is_zero else zero, ring, "delta")
 
 
@@ -119,15 +115,16 @@ def _bilinear(lat: DivisorLattice, fv: list, gv: list, m: int, k: int):
     return sum(fv[d] * gv[k - d] for d in lat.below(lat.meet(m, k)))
 
 
-@dataclass(frozen=True, eq=False)
 class DownsetTable:
     """Values on the divisors of a fixed root: ``values`` is a flat list in
     index order, and an element is looked up through ``index``, its
-    :attr:`DivisorLattice.index` (KeyError off the divisors)."""
+    :attr:`DivisorLattice.index` (KeyError off the divisors).  Compares by
+    identity."""
 
-    index: dict = field(repr=False)
-    values: list
-    ring: str = INT
+    __slots__ = ("index", "values", "ring")
+
+    def __init__(self, index: dict, values: list, ring: str = INT):
+        self.index, self.values, self.ring = index, values, ring
 
     def __getitem__(self, e: Element):
         return self.values[self.index[e.exps]]
@@ -154,7 +151,7 @@ def dirichlet_inverse(inst: MonoidInstance, f: ArithFn, root: Element) -> Downse
     else:
         if f0 == 0:
             raise ValueError("f(0) = 0 is not invertible")
-        inv0 = _UNIT_ZERO[f.ring][0] / f0
+        inv0 = _unit_zero(f.ring)[0] / f0
     values = [inv0] * len(fv)
     for a in lat.order[1:]:
         acc = None
@@ -177,6 +174,7 @@ def jordan_totient(inst: MonoidInstance, e: Element, s=1):
         if s >= 0:
             power = lambda n: n**s
         else:
+            from fractions import Fraction
             power = lambda n: Fraction(1, n**-s)
     elif isinstance(s, complex):
         power = lambda n: n**s

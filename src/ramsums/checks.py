@@ -165,9 +165,20 @@ def suite_holder(inst: MonoidInstance, bound: int, seed: int, downset: DivisorDo
 
 def _trig_sums(k: int) -> np.ndarray:
     """The trigonometric sums over h coprime to k of exp(2 pi i r h / k), for
-    r = 0 .. k-1: k times the inverse DFT of the indicator of (Z/k)^x."""
-    h = np.arange(k)
-    return k * np.fft.ifft(np.gcd(h, k) == 1)
+    r = 0 .. k-1: the DFT of the indicator of (Z/k)^x, the h that no prime
+    factor of k divides.  The units are closed under h -> k - h, so the sums
+    are real and equal at r and k - r: a real DFT gives r <= k/2, mirrored."""
+    units, n, p = np.ones(k), k, 2
+    while p * p <= n:
+        if n % p == 0:
+            units[::p] = 0
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        units[::n] = 0
+    half = np.fft.rfft(units).real
+    return np.concatenate([half, half[1 : (k + 1) // 2][::-1]])
 
 
 def suite_oracle(inst: MonoidInstance, bound: int, downset: DivisorDownset) -> dict:

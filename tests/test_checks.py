@@ -743,6 +743,13 @@ def test_trig_sums_match_the_definition():
         assert len(trig) == k
         for r in range(k):
             assert abs(trig[r] - trig_csum(k, r)) < 1e-9, (k, r)
+    # past k = 60 the definition is summed in numpy, with r * h reduced mod k
+    for k in range(61, 401):
+        units = [h for h in range(k) if math.gcd(h, k) == 1]
+        angles = np.outer(np.arange(k), units) % k * (2 * math.pi / k)
+        trig = checks._trig_sums(k)
+        assert len(trig) == k
+        assert np.abs(trig - np.exp(1j * angles).sum(axis=1)).max() < 1e-9, k
 
 
 def test_oracle_suite_reduces_m_mod_k(zint, monkeypatch):

@@ -709,6 +709,70 @@ def test_stdout_on_a_full_device_exits_2(unbuffered):
     assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+def _python(*argv):
+    """A child interpreter on this source tree: (exit code, stdout, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def test_console_main_writes_what_main_writes(tmp_path, capsys):
+    """console_main ends the process by os._exit, without teardown, once its
+    output is flushed: a pipe and an --out file get what main writes."""
+    argv = ["atoms", "--x", "1e5"]
+    assert _python("-m", "ramsums", *argv) == run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(tmp_path / "in.csv"))[0] == 0
+    assert _python("-m", "ramsums", *argv, "--out", str(tmp_path / "child.csv")) == (0, "", "")
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
+
+
+_BROKEN_SXY = """
+import sys
+from ramsums import cli, csums
+
+def broken(*args):
+    raise RuntimeError("boom")
+
+csums.double_sums = broken
+sys.argv[1:] = ["sxy", "--x", "10", "--y", "2"]
+cli.console_main()
+"""
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["-m", "ramsums", "count", "--instance", "w"], 2,
+     "error: unknown instance 'w'; use 'z' or 'q:<d>'\n"),
+    (["-m", "ramsums", "count", "--bogus"], 2, "error: unrecognized arguments: --bogus\n"),
+    (["-c", _BROKEN_SXY], 3, "internal error: RuntimeError: boom\n"),
+])
+def test_console_main_exit_codes(argv, code, err):
+    got, out, stderr = _python(*argv)
+    assert (got, out) == (code, "") and stderr.endswith(err)
+
+
+def test_console_main_runs_atexit_callbacks_before_it_exits():
+    script = """
+import atexit, os, sys
+from ramsums import cli
+
+hard_exit = os._exit
+os._exit = lambda code: (print(f"os._exit({code})", file=sys.stderr), hard_exit(code))
+atexit.register(print, "atexit ran", file=sys.stderr)
+sys.argv[1:] = ["count", "--x", "10"]
+cli.console_main()
+"""
+    assert _python("-c", script) == (0, "x,count,count_over_x\n10,10,1\n", "atexit ran\nos._exit(0)\n")
+
+
+def test_console_main_under_a_profiler_exits_normally():
+    """With a profiler set the process tears down as usual, so cProfile
+    still prints its table after the command's output."""
+    code, out, err = _python("-m", "cProfile", "-m", "ramsums", "count", "--x", "10")
+    assert (code, err) == (0, "")
+    assert out.startswith("x,count,count_over_x\n10,10,1\n") and "function calls" in out
+
+
 def test_invariants_validates_the_rounded_class_number(capsys, monkeypatch):
     # a rounded h of 0 must not reach the residue constant
     monkeypatch.setattr(fields, "class_number_from_counting", lambda inst, x: (0.3, 0))

@@ -1,5 +1,6 @@
 """What each command imports: the package exports its names lazily, and
-numpy, the csum layer and the suites load only where a command uses them."""
+numpy, the csum layer, the series and the suites load only where a command
+uses them."""
 
 import importlib
 import json
@@ -30,7 +31,7 @@ loaded = {}
 
 def step(name):
     optional = ("numpy", "numpy.ma", "ramsums.arith", "ramsums.checks", "ramsums.csums",
-                *sys.argv[2:])
+                "ramsums.series", *sys.argv[2:])
     loaded[name] = [m for m in optional if m in sys.modules]
 
 cli.build_parser()
@@ -84,7 +85,8 @@ def test_commands_load_only_what_they_use(tmp_path):
         "check all": ["numpy", "ramsums.arith", "ramsums.checks", "ramsums.csums"],
         "sxy": ["numpy", "ramsums.arith", "ramsums.checks", "ramsums.csums"],
         "table": ["numpy", "ramsums.arith", "ramsums.checks", "ramsums.csums"],
-        "residue direct": ["numpy", "ramsums.arith", "ramsums.checks", "ramsums.csums"],
+        "residue direct": ["numpy", "ramsums.arith", "ramsums.checks", "ramsums.csums",
+                           "ramsums.series"],
     }
     stdlib = {name: [m for m in mods if m in _STDLIB and m not in bare]
               for name, mods in list(loaded.items())[:5]}  # numpy loads inspect itself
@@ -95,6 +97,11 @@ def test_commands_load_only_what_they_use(tmp_path):
         "count q:-1": [],
         "invariants q:-23": ["json"],
     }
+    # numpy's commands too: their value classes are NamedTuples, and Fraction
+    # is imported only where a rational is built
+    unused = ("dataclasses", "fractions", "decimal")
+    assert {name: [m for m in mods if m in unused and m not in bare]
+            for name, mods in loaded.items()} == dict.fromkeys(loaded, [])
 
 
 def test_every_export_is_its_submodule_attribute():
